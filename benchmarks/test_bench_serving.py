@@ -26,7 +26,6 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.serving.cluster import parse_cluster_spec
 from repro.serving.engine import TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
 from repro.serving.simulator import ServingSimulator
 from repro.workloads.traces import (
     bursty_multi_tenant_trace,
@@ -60,7 +59,7 @@ TRACES = {
 
 def _run_pair(trace):
     exclusive, _ = ServingSimulator(num_instances=1).run(trace)
-    batched, _ = TokenServingEngine(num_instances=1, policy="fifo",
+    batched, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                     max_batch_size=8).run(trace)
     return exclusive, batched
 
@@ -81,7 +80,7 @@ def test_bench_continuous_batching(benchmark, shape):
     trace = TRACES[shape]()
 
     def run():
-        engine = TokenServingEngine(num_instances=1, policy="fifo",
+        engine = TokenServingEngine(cluster="1x2n", policy="fifo",
                                     max_batch_size=8)
         return engine.run(trace)
 
@@ -138,11 +137,9 @@ def test_reservation_mode_reproduces_pr1_exactly():
     budget = _kv_budget_bytes(640)
     helper_metrics, helper_records = run_policy(
         trace, "fifo", kv_budget_bytes=budget, kv_mode="reserve")
-    system = LoopLynxSystem.paper_configuration(num_nodes=2)
     engine = TokenServingEngine(
-        num_instances=1, system=system, policy="fifo", max_batch_size=8,
-        kv_controller=KVAdmissionController.for_system(system,
-                                                       budget_bytes=budget))
+        cluster="1x2n", policy="fifo", max_batch_size=8,
+        kv_mode="reserve", kv_budget_bytes=budget)
     direct_metrics, direct_records = engine.run(trace)
     assert helper_metrics.makespan_s == direct_metrics.makespan_s
     assert helper_metrics.kv_mode == "reserve"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.multi_node import LoopLynxSystem
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.cluster import (
     ClusterSpec,
     InstanceSpec,
@@ -19,7 +17,6 @@ from repro.serving.cluster import (
     parse_cluster_spec,
 )
 from repro.serving.engine import PREFILL_MODES, ServedRequest, TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
 from repro.serving.simulator import FIFO_EXCLUSIVE, ServingSimulator
 from repro.workloads.traces import RequestTrace
 
@@ -49,13 +46,16 @@ def run_policy(trace: RequestTrace, policy: str,
     KV options are rejected rather than silently ignored) or any token-level
     policy.
 
-    ``instances`` optionally replaces the flat ``num_instances`` ×
-    ``num_nodes_per_instance`` pool with a cluster spec (e.g.
-    ``"2x1n,2x2n,1x4n"``); ``router`` then picks the cluster-routing policy
-    (heterogeneous pools only — single-class pools are bit-identical to the
-    flat pool under every router).  The KV options apply per instance
-    class.  ``swap_priority`` makes each instance resume its own swapped-out
-    requests ahead of new admissions (paged ``swap`` mode).
+    The pool is ``num_instances`` × ``num_nodes_per_instance`` (the
+    cluster spec ``ClusterSpec.homogeneous(num_instances,
+    num_nodes_per_instance)``), or ``instances``, a cluster spec string or
+    :class:`~repro.serving.cluster.ClusterSpec` (e.g.
+    ``"2x1n,2x2n,1x4n"``) that replaces it.  ``router`` picks the
+    cluster-routing policy (consulted on heterogeneous pools only —
+    single-class pools give identical records under every router).  The KV
+    options apply per instance class.  ``swap_priority`` makes each
+    instance resume its own swapped-out requests ahead of new admissions
+    (paged ``swap`` mode).
 
     ``prefill_mode`` selects how prompts share steps with running decodes:
     ``"exclusive"`` (one prefill chunk per step, decodes stall — the
@@ -116,48 +116,21 @@ def run_policy(trace: RequestTrace, policy: str,
     if mixed_step_token_budget is not None:
         engine_kwargs = dict(engine_kwargs,
                              mixed_step_token_budget=mixed_step_token_budget)
-    if instances is not None:
-        if isinstance(instances, str):
-            instances = parse_cluster_spec(instances)
-        engine = TokenServingEngine(
-            cluster=instances, router=router,
-            policy=policy, max_batch_size=max_batch_size,
-            prefill_mode=prefill_mode,
-            kv_mode=("paged" if kv_mode == "paged"
-                     else "reserve" if kv_budget_bytes is not None else None),
-            kv_budget_bytes=kv_budget_bytes,
-            kv_block_size=kv_block_size,
-            kv_prefix_sharing=kv_prefix_sharing,
-            preemption_mode=preemption_mode,
-            swap_priority=swap_priority,
-            **engine_kwargs)
-        return engine.run(trace)
-    if swap_priority:
-        engine_kwargs = dict(engine_kwargs, swap_priority=True)
-    kv_controller = None
-    kv_block_manager = None
-    if kv_mode == "paged":
-        system = LoopLynxSystem.paper_configuration(
-            num_nodes=num_nodes_per_instance)
-        kv_block_manager = PagedKVManager.for_system(
-            system, block_size_tokens=kv_block_size,
-            budget_bytes=kv_budget_bytes,
-            prefix_sharing=kv_prefix_sharing)
-        engine_kwargs = dict(engine_kwargs, system=system)
-    elif kv_budget_bytes is not None:
-        system = LoopLynxSystem.paper_configuration(
-            num_nodes=num_nodes_per_instance)
-        kv_controller = KVAdmissionController.for_system(
-            system, budget_bytes=kv_budget_bytes)
-        engine_kwargs = dict(engine_kwargs, system=system)
-    engine = TokenServingEngine(num_instances=num_instances,
-                                num_nodes_per_instance=num_nodes_per_instance,
-                                policy=policy, max_batch_size=max_batch_size,
-                                prefill_mode=prefill_mode,
-                                kv_controller=kv_controller,
-                                kv_block_manager=kv_block_manager,
-                                preemption_mode=preemption_mode,
-                                **engine_kwargs)
+    if instances is None:
+        instances = ClusterSpec.homogeneous(num_instances,
+                                            num_nodes_per_instance)
+    engine = TokenServingEngine(
+        cluster=instances, router=router,
+        policy=policy, max_batch_size=max_batch_size,
+        prefill_mode=prefill_mode,
+        kv_mode=("paged" if kv_mode == "paged"
+                 else "reserve" if kv_budget_bytes is not None else None),
+        kv_budget_bytes=kv_budget_bytes,
+        kv_block_size=kv_block_size,
+        kv_prefix_sharing=kv_prefix_sharing,
+        preemption_mode=preemption_mode,
+        swap_priority=swap_priority,
+        **engine_kwargs)
     return engine.run(trace)
 
 

@@ -148,8 +148,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
     # --instances accepts both a plain count ("4", homogeneous with --nodes)
-    # and a cluster spec ("2x1n,2x2n,1x4n"); the flat form keeps the exact
-    # pre-cluster code path, the spec form goes through the cluster layer
+    # and a cluster spec ("2x1n,2x2n,1x4n"); both build the engine from a
+    # cluster spec (a count N becomes "Nx<nodes>n")
     cluster_spec = None
     if args.instances.isdigit():
         num_instances = int(args.instances)

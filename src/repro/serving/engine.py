@@ -49,10 +49,11 @@ decode-capable instance, which pays its own swap-in at admission —
 capacity, fragmentation and transfer-time accounting all ride the existing
 swap machinery.
 
-The discrete-event loop reuses the heap/sequence-counter idiom of
-:mod:`repro.dataflow.engine`: a single time-ordered event heap over request
-arrivals and per-instance step completions, so results are exact and
-reproducible (no wall-clock time).
+The discrete-event loop reuses the sequence-counter idiom of
+:mod:`repro.dataflow.engine`: step completions and KV handoffs share one
+time-ordered :class:`~repro.serving.events.BucketedEventQueue`, while
+request arrivals are lazy-merged into it straight off the sorted trace, so
+results are exact and reproducible (no wall-clock time).
 
 Units, throughout this module: timestamps and durations are **seconds** on
 the simulated clock, lengths are **tokens**, KV quantities are **cached
@@ -65,7 +66,17 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.core.pricing_cache import (
@@ -88,6 +99,7 @@ from repro.serving.metrics import (
     InstanceClassMetrics,
     ServingMetrics,
     StreamingMetricsCollector,
+    check_slo,
 )
 from repro.serving.schedulers import (
     KVAdmissionController,
@@ -113,8 +125,8 @@ PREFILL_MODES = ("exclusive", "mixed")
 #: tokens); production chunked-prefill schedulers run 256–2048.
 DEFAULT_MIXED_STEP_TOKEN_BUDGET = 256
 
-#: KV recipe names accepted by ``TokenServingEngine(kv_mode=...)`` when a
-#: cluster spec is used (``None`` = unconstrained admission).
+#: KV recipe names accepted by ``TokenServingEngine(kv_mode=...)``
+#: (``None`` = unconstrained admission).
 KV_RECIPE_MODES = ("reserve", "paged")
 
 
@@ -215,29 +227,20 @@ class TokenServingEngine:
     """Discrete-event simulation of a cluster of instances at step
     granularity.
 
-    Two configuration surfaces build the cluster:
-
-    * **classic** (``num_instances`` × ``num_nodes_per_instance``, the PR 1
-      surface): a homogeneous pool sharing one cycle model, with KV
-      admission supplied as prototype objects (``kv_controller`` /
-      ``kv_block_manager``).  This path is bit-identical to the pre-cluster
-      engines;
-    * **cluster spec** (``cluster="2x1n,2x2n,1x4n"`` or a
-      :class:`~repro.serving.cluster.ClusterSpec`): possibly heterogeneous;
-      each instance class gets its own cycle model, and KV admission is
-      built per class from the recipe knobs (``kv_mode``,
-      ``kv_budget_bytes``, ``kv_block_size``) because one prototype cannot
-      fit several cache layouts.  ``router`` picks the cluster-routing
-      policy (consulted only on heterogeneous pools; single-class pools run
-      the exact classic dispatch order whatever the router).
+    The pool comes from a cluster spec (``cluster="2x1n,2x2n,1x4n"`` or a
+    :class:`~repro.serving.cluster.ClusterSpec`; the default ``"1x2n"`` is
+    one 2-node instance).  It may be heterogeneous: each instance class
+    gets its own cycle model, and KV admission is built per class from the
+    recipe knobs (``kv_mode``, ``kv_budget_bytes``, ``kv_block_size``,
+    ``kv_prefix_sharing``).  ``router`` picks the cluster-routing policy
+    (consulted only on heterogeneous pools; single-class pools run the
+    exact pre-cluster dispatch order whatever the router).
 
     Parameters
     ----------
-    num_instances, num_nodes_per_instance, system:
-        Classic pool shape, as in
-        :class:`~repro.serving.simulator.ServingSimulator`.  Ignored when
-        ``cluster`` is given (``system`` is rejected there: each class owns
-        its own).
+    cluster:
+        Cluster spec string or :class:`~repro.serving.cluster.ClusterSpec`
+        (``"Nx2n"`` is ``N`` homogeneous 2-node instances).
     policy:
         Scheduler policy name (``fifo``, ``sjf``, ``priority``); a fresh
         :class:`SchedulerPolicy` instance per run is built from the name.
@@ -251,14 +254,6 @@ class TokenServingEngine:
     prefill_mode, mixed_step_token_budget:
         Exclusive vs mixed prefill and the mixed-step token budget (see
         :data:`PREFILL_MODES`).
-    kv_controller:
-        Optional :class:`KVAdmissionController` (classic surface);
-        admission reserves worst-case KV capacity and requests queue while
-        the cache is full.
-    kv_block_manager:
-        Optional :class:`~repro.memory.paged_kv.PagedKVManager` prototype
-        (classic surface); each instance gets its own empty clone.
-        Mutually exclusive with ``kv_controller``.
     preemption_mode:
         What happens to a paged-mode victim's KV state: ``"swap"`` moves its
         blocks to the host tier over PCIe and the request later resumes
@@ -267,18 +262,18 @@ class TokenServingEngine:
     context_bucket:
         Decode-step timings are memoized with the context length rounded up
         to this multiple (1 = exact).
-    cluster:
-        Cluster spec string or :class:`~repro.serving.cluster.ClusterSpec`.
     router:
         Router name (see :data:`~repro.serving.cluster.ROUTER_NAMES`) or a
         :class:`~repro.serving.cluster.Router` instance.
     kv_mode, kv_budget_bytes, kv_block_size:
-        Per-class KV recipe for the cluster surface: ``None`` (no
-        admission control), ``"reserve"`` (worst-case reservations, needs a
-        budget) or ``"paged"`` (block pool, budget defaults to each node's
-        HBM share net of weights).
+        Per-class KV recipe: ``None`` (no admission control),
+        ``"reserve"`` (worst-case reservations against a per-node byte
+        budget; without a budget admission stays unconstrained) or
+        ``"paged"`` (block pool, budget defaults to each node's HBM share
+        net of weights).  A class's ``@<size>MiB`` spec override wins over
+        ``kv_budget_bytes``.
     kv_prefix_sharing:
-        Paged cluster recipe only: content-hash full prompt blocks into a
+        Paged recipe only: content-hash full prompt blocks into a
         per-pool prefix index so later requests whose
         ``prompt_token_ids`` share a prefix reuse the cached blocks
         (copy-on-write on divergence) and skip the matched prefill
@@ -301,8 +296,9 @@ class TokenServingEngine:
         Optional ``(ttft_slo_s, tpot_slo_s)`` pair pinned for streaming
         runs: joint SLO attainment needs per-request TTFT/TPOT *pairs*,
         which marginal aggregates cannot recover, so streaming counts
-        attainment online against exactly this pin.  Full mode answers
-        arbitrary SLO queries after the fact and rejects a pin.
+        attainment online against exactly this pin.  Both values must be
+        finite and non-negative.  Full mode answers arbitrary SLO queries
+        after the fact and rejects a pin.
     quantile_error:
         Guaranteed relative error of streaming-mode percentile estimates
         (default 0.5% — see :class:`~repro.serving.metrics.StreamingQuantile`).
@@ -333,18 +329,14 @@ class TokenServingEngine:
     (paged mode; for inspection of occupancy/swap counters in tests).
     """
 
-    def __init__(self, num_instances: int = 1, num_nodes_per_instance: int = 2,
-                 system: Optional[LoopLynxSystem] = None,
+    def __init__(self, cluster: Union[str, ClusterSpec] = "1x2n",
                  policy: str = "fifo",
                  max_batch_size: int = 8,
                  prefill_chunk_tokens: Optional[int] = 64,
                  prefill_mode: str = "exclusive",
                  mixed_step_token_budget: int = DEFAULT_MIXED_STEP_TOKEN_BUDGET,
-                 kv_controller: Optional[KVAdmissionController] = None,
-                 kv_block_manager: Optional[PagedKVManager] = None,
                  preemption_mode: str = "swap",
                  context_bucket: int = 32,
-                 cluster: Optional[Union[str, ClusterSpec]] = None,
                  router: Union[str, Router] = "round_robin",
                  kv_mode: Optional[str] = None,
                  kv_budget_bytes: Optional[int] = None,
@@ -372,7 +364,7 @@ class TokenServingEngine:
             if len(slo) != 2:
                 raise ValueError("slo must be a (ttft_slo_s, tpot_slo_s) "
                                  "pair")
-            slo = (float(slo[0]), float(slo[1]))
+            slo = check_slo(slo[0], slo[1])
         if not 0.0 < quantile_error < 1.0:
             raise ValueError("quantile_error must be in (0, 1)")
         if max_batch_size <= 0:
@@ -387,32 +379,49 @@ class TokenServingEngine:
             raise ValueError("mixed_step_token_budget must be positive")
         if context_bucket <= 0:
             raise ValueError("context_bucket must be positive")
-        if kv_controller is not None and kv_block_manager is not None:
-            raise ValueError(
-                "kv_controller (reservation mode) and kv_block_manager "
-                "(paged mode) are mutually exclusive")
         if preemption_mode not in PREEMPTION_MODES:
             raise ValueError(
                 f"unknown preemption mode {preemption_mode!r}; "
                 f"known: {', '.join(PREEMPTION_MODES)}")
+        if kv_mode is not None and kv_mode not in KV_RECIPE_MODES:
+            raise ValueError(f"unknown kv mode {kv_mode!r}; "
+                             f"known: {', '.join(KV_RECIPE_MODES)}")
         if swap_priority and preemption_mode != "swap":
             raise ValueError(
                 "swap_priority prioritizes resuming swapped-out requests; "
                 "it requires preemption_mode='swap'")
-        if swap_priority and kv_block_manager is None and kv_mode != "paged":
+        if swap_priority and kv_mode != "paged":
             raise ValueError(
-                "swap_priority requires paged KV (a kv_block_manager "
-                "prototype or kv_mode='paged'); nothing is ever swapped "
-                "out otherwise")
-        if kv_mode is not None and kv_mode not in KV_RECIPE_MODES:
-            raise ValueError(f"unknown kv mode {kv_mode!r}; "
-                             f"known: {', '.join(KV_RECIPE_MODES)}")
+                "swap_priority requires kv_mode='paged'; nothing is ever "
+                "swapped out otherwise")
         if kv_prefix_sharing and kv_mode != "paged":
             raise ValueError(
                 "kv_prefix_sharing builds prefix indices into the "
-                "per-class paged block pools; it requires kv_mode='paged' "
-                "(on the classic surface, build the kv_block_manager "
-                "prototype with prefix_sharing=True instead)")
+                "per-class paged block pools; it requires kv_mode='paged'")
+        if isinstance(cluster, str):
+            cluster = parse_cluster_spec(cluster)
+        if kv_mode is None and (
+                kv_budget_bytes is not None
+                or any(spec.kv_budget_bytes is not None
+                       for spec in cluster.specs)):
+            raise ValueError(
+                "a KV budget without kv_mode would be silently "
+                "unenforced; pick kv_mode='reserve' or 'paged'")
+        if cluster.has_roles:
+            if kv_mode != "paged":
+                raise ValueError(
+                    "prefill/decode roles hand off paged KV block "
+                    "tables between instances; role-tagged clusters "
+                    "require kv_mode='paged'")
+            roles = {spec.role for spec in cluster.specs}
+            if not roles & {"prefill", "both"}:
+                raise ValueError(
+                    f"cluster {cluster} has no prefill-capable class; "
+                    "nothing could ever compute a prompt")
+            if not roles & {"decode", "both"}:
+                raise ValueError(
+                    f"cluster {cluster} has no decode-capable class; "
+                    "handed-off prompts could never generate")
         self.policy = policy
         make_scheduler(policy)  # fail fast on unknown names
         self.router = make_router(router)
@@ -420,14 +429,9 @@ class TokenServingEngine:
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.prefill_mode = prefill_mode
         self.mixed_step_token_budget = mixed_step_token_budget
-        self.kv_controller = kv_controller
-        self.kv_block_manager = kv_block_manager
         self.preemption_mode = preemption_mode
         self.context_bucket = context_bucket
-        self.kv_prefix_sharing = (
-            kv_prefix_sharing
-            or (kv_block_manager is not None
-                and kv_block_manager.prefix_sharing))
+        self.kv_prefix_sharing = kv_prefix_sharing
         self.swap_priority = swap_priority
         self.metrics_mode = metrics_mode
         self.slo = slo
@@ -436,85 +440,33 @@ class TokenServingEngine:
         #: resolved at construction: explicit argument wins over the
         #: ``REPRO_SANITIZE`` environment switch (see :mod:`repro.sanitize`)
         self.sanitize = sanitize_enabled(sanitize)
-
-        if cluster is not None:
-            if system is not None:
-                raise ValueError(
-                    "cluster specs build one cycle model per instance "
-                    "class; drop the system argument")
-            if kv_controller is not None or kv_block_manager is not None:
-                raise ValueError(
-                    "cluster specs build KV admission per instance class; "
-                    "use kv_mode/kv_budget_bytes/kv_block_size instead of "
-                    "prototype objects")
-            if isinstance(cluster, str):
-                cluster = parse_cluster_spec(cluster)
-            if kv_mode is None and (
-                    kv_budget_bytes is not None
-                    or any(spec.kv_budget_bytes is not None
-                           for spec in cluster.specs)):
-                raise ValueError(
-                    "a KV budget without kv_mode would be silently "
-                    "unenforced; pick kv_mode='reserve' or 'paged'")
-            if cluster.has_roles:
-                if kv_mode != "paged":
-                    raise ValueError(
-                        "prefill/decode roles hand off paged KV block "
-                        "tables between instances; role-tagged clusters "
-                        "require kv_mode='paged'")
-                roles = {spec.role for spec in cluster.specs}
-                if not roles & {"prefill", "both"}:
-                    raise ValueError(
-                        f"cluster {cluster} has no prefill-capable class; "
-                        "nothing could ever compute a prompt")
-                if not roles & {"decode", "both"}:
-                    raise ValueError(
-                        f"cluster {cluster} has no decode-capable class; "
-                        "handed-off prompts could never generate")
-            self.cluster = cluster
-        else:
-            if num_instances <= 0:
-                raise ValueError("num_instances must be positive")
-            if kv_mode is not None or kv_budget_bytes is not None:
-                raise ValueError(
-                    "kv_mode/kv_budget_bytes describe a cluster-spec KV "
-                    "recipe; pass kv_controller/kv_block_manager on the "
-                    "classic surface")
-            self.cluster = ClusterSpec.homogeneous(num_instances,
-                                                   num_nodes_per_instance)
-        self.num_instances = self.cluster.num_instances
+        self.cluster = cluster
+        self.num_instances = cluster.num_instances
         # ---- per-class prototypes: (spec, system, controller, manager) ----
         self._protos = []
-        if cluster is not None:
-            for spec in self.cluster.specs:
-                class_system = LoopLynxSystem.paper_configuration(
-                    num_nodes=spec.num_nodes)
-                budget = (spec.kv_budget_bytes
-                          if spec.kv_budget_bytes is not None
-                          else kv_budget_bytes)
-                controller = manager = None
-                if kv_mode == "paged":
-                    manager = PagedKVManager.for_system(
-                        class_system, block_size_tokens=kv_block_size,
-                        budget_bytes=budget,
-                        prefix_sharing=kv_prefix_sharing)
-                elif kv_mode == "reserve" and budget is not None:
-                    controller = KVAdmissionController.for_system(
-                        class_system, budget_bytes=budget)
-                self._protos.append((spec, class_system, controller, manager))
-            self.system = self._protos[0][1]
-        else:
-            self.system = system or LoopLynxSystem.paper_configuration(
-                num_nodes=num_nodes_per_instance)
-            self._protos.append((self.cluster.specs[0], self.system,
-                                 kv_controller, kv_block_manager))
-        spec_nodes = {spec.num_nodes for spec in self.cluster.specs}
+        for spec in cluster.specs:
+            class_system = LoopLynxSystem.paper_configuration(
+                num_nodes=spec.num_nodes)
+            budget = (spec.kv_budget_bytes
+                      if spec.kv_budget_bytes is not None
+                      else kv_budget_bytes)
+            controller = manager = None
+            if kv_mode == "paged":
+                manager = PagedKVManager.for_system(
+                    class_system, block_size_tokens=kv_block_size,
+                    budget_bytes=budget,
+                    prefix_sharing=kv_prefix_sharing)
+            elif kv_mode == "reserve" and budget is not None:
+                controller = KVAdmissionController.for_system(
+                    class_system, budget_bytes=budget)
+            self._protos.append((spec, class_system, controller, manager))
+        spec_nodes = {spec.num_nodes for spec in cluster.specs}
         #: Nodes per instance (0 when classes differ — use per-class
         #: metrics then).  pop() is order-independent here: only taken on
         #: a singleton set.
         self.num_nodes_per_instance = (spec_nodes.pop()  # repro-lint: disable=R006
                                        if len(spec_nodes) == 1 else 0)
-        self._paged = any(proto[3] is not None for proto in self._protos)
+        self._paged = kv_mode == "paged"
         self._kv_mode = ("paged" if self._paged
                          else "reserve" if any(proto[2] is not None
                                                for proto in self._protos)
@@ -629,7 +581,7 @@ class TokenServingEngine:
         validate each request lazily as it is drawn."""
         if len(self._protos) == 1:
             # single class: the prototype's own validation carries the
-            # precise error message (and the classic path stays identical)
+            # precise error message
             _, _, controller, manager = self._protos[0]
             if controller is not None:
                 controller.validate((request,))
@@ -1002,19 +954,77 @@ class TokenServingEngine:
                            else sum(m.total_blocks for m in managers))
         return kv_block_size, kv_total_blocks
 
-    def _metrics(self, records: List[ServedRequest],
-                 runtimes: List[InstanceRuntime],
-                 stats: InstanceStats) -> ServingMetrics:
-        makespan = max(r.finish_s for r in records)
+    def _pool_fields(self, runtimes: List[InstanceRuntime],
+                     stats: InstanceStats,
+                     makespan: Seconds) -> Dict[str, Any]:
+        """The :class:`ServingMetrics` fields full and streaming assembly
+        share: pool shape, step accounting and the KV, swap, handoff and
+        prefix counters (all exact in both modes)."""
         pool_time = makespan * self.num_instances
         managers = self.last_kv_managers
-        per_class = self._per_class(records, runtimes, makespan)
         kv_block_size, kv_total_blocks = self._kv_pool_shape()
-        return ServingMetrics(
-            num_requests=len(records),
+        return dict(
             num_instances=self.num_instances,
             num_nodes_per_instance=self.num_nodes_per_instance,
             makespan_s=makespan,
+            policy=self.policy,
+            prefill_mode=self.prefill_mode,
+            busy_time_s=stats.busy_time,
+            prefill_tokens_processed=stats.prefill_tokens,
+            decode_step_time_s=stats.decode_time,
+            prefill_step_time_s=stats.prefill_time,
+            mixed_step_time_s=stats.mixed_time,
+            kv_mode=self._kv_mode,
+            kv_block_size=kv_block_size,
+            kv_total_blocks=kv_total_blocks,
+            mean_running_batch=(stats.batch_time / pool_time
+                                if pool_time > 0 else 0.0),
+            mean_kv_occupancy=(stats.kv_occ_time / pool_time
+                               if pool_time > 0 else 0.0),
+            peak_kv_occupancy=stats.peak_kv_occupancy,
+            mean_kv_fragmentation=(stats.frag_time / stats.busy_time
+                                   if stats.busy_time > 0 else 0.0),
+            swap_out_count=sum(m.swap_out_count for m in managers),
+            swap_in_count=sum(m.swap_in_count for m in managers),
+            swapped_bytes=sum(m.swapped_bytes_total for m in managers),
+            swap_time_s=stats.swap_time_s,
+            handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
+            handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
+            kv_prefix_sharing=self.kv_prefix_sharing,
+            prefix_hits=sum(m.prefix_hits for m in managers),
+            prefill_tokens_saved=sum(m.prefix_tokens_reused
+                                     for m in managers),
+            cow_copies=sum(m.cow_copies for m in managers),
+            mean_kv_shared_fraction=(stats.shared_kv_time / stats.busy_time
+                                     if stats.busy_time > 0 else 0.0),
+            cluster=str(self.cluster),
+            router=self.router.name,
+        )
+
+    def _metrics(self, records: List[ServedRequest],
+                 runtimes: List[InstanceRuntime],
+                 stats: InstanceStats) -> ServingMetrics:
+        """Full-mode metrics assembly: exact per-request latency lists."""
+        makespan = max(r.finish_s for r in records)
+
+        def record_fields(group: List[InstanceRuntime]) -> Dict[str, Any]:
+            # records with instance_id=None never ran on any instance and
+            # are excluded
+            ids = {r.instance_id for r in group}
+            class_records = [r for r in records
+                             if r.instance_id is not None
+                             and r.instance_id in ids]
+            return dict(
+                requests=len(class_records),
+                generated_tokens=sum(r.decode_len for r in class_records),
+                ttfts_s=[r.ttft_s for r in class_records
+                         if r.ttft_s is not None],
+                tpots_s=[r.tpot_s for r in class_records
+                         if r.ttft_s is not None],
+                preemptions=sum(r.preemptions for r in class_records))
+
+        return ServingMetrics(
+            num_requests=len(records),
             generated_tokens=sum(r.decode_len for r in records),
             queueing_delays_s=[r.queueing_delay_s for r in records],
             end_to_end_latencies_s=[r.end_to_end_latency_s for r in records],
@@ -1022,92 +1032,9 @@ class TokenServingEngine:
             ttfts_s=[r.ttft_s for r in records if r.ttft_s is not None],
             tpots_s=[r.tpot_s for r in records if r.ttft_s is not None],
             preemptions=sum(r.preemptions for r in records),
-            policy=self.policy,
-            prefill_mode=self.prefill_mode,
-            busy_time_s=stats.busy_time,
-            prefill_tokens_processed=stats.prefill_tokens,
-            decode_step_time_s=stats.decode_time,
-            prefill_step_time_s=stats.prefill_time,
-            mixed_step_time_s=stats.mixed_time,
-            kv_mode=self._kv_mode,
-            kv_block_size=kv_block_size,
-            kv_total_blocks=kv_total_blocks,
-            mean_running_batch=(stats.batch_time / pool_time
-                                if pool_time > 0 else 0.0),
-            mean_kv_occupancy=(stats.kv_occ_time / pool_time
-                               if pool_time > 0 else 0.0),
-            peak_kv_occupancy=stats.peak_kv_occupancy,
-            mean_kv_fragmentation=(stats.frag_time / stats.busy_time
-                                   if stats.busy_time > 0 else 0.0),
-            swap_out_count=sum(m.swap_out_count for m in managers),
-            swap_in_count=sum(m.swap_in_count for m in managers),
-            swapped_bytes=sum(m.swapped_bytes_total for m in managers),
-            swap_time_s=stats.swap_time_s,
-            handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
-            handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
-            kv_prefix_sharing=self.kv_prefix_sharing,
-            prefix_hits=sum(m.prefix_hits for m in managers),
-            prefill_tokens_saved=sum(m.prefix_tokens_reused
-                                     for m in managers),
-            cow_copies=sum(m.cow_copies for m in managers),
-            mean_kv_shared_fraction=(stats.shared_kv_time / stats.busy_time
-                                     if stats.busy_time > 0 else 0.0),
-            cluster=str(self.cluster),
-            router=self.router.name,
-            per_class=per_class,
+            per_class=self._per_class(runtimes, makespan, record_fields),
+            **self._pool_fields(runtimes, stats, makespan),
         )
-
-    def _per_class(self, records: List[ServedRequest],
-                   runtimes: List[InstanceRuntime],
-                   makespan: float) -> List[InstanceClassMetrics]:
-        """Aggregate per-runtime accumulators and records by instance
-        class (spec order).  Records with ``instance_id=None`` never ran on
-        any instance and are excluded."""
-        by_label: Dict[str, List[InstanceRuntime]] = {}
-        for runtime in runtimes:
-            by_label.setdefault(runtime.class_label, []).append(runtime)
-        out: List[InstanceClassMetrics] = []
-        for label, group in by_label.items():
-            ids = {r.instance_id for r in group}
-            class_records = [r for r in records
-                             if r.instance_id is not None
-                             and r.instance_id in ids]
-            class_time = makespan * len(group)
-            out.append(InstanceClassMetrics(
-                label=label,
-                num_instances=len(group),
-                num_nodes=group[0].num_nodes,
-                role=group[0].role,
-                requests=len(class_records),
-                generated_tokens=sum(r.decode_len for r in class_records),
-                makespan_s=makespan,
-                busy_time_s=sum(r.stats.busy_time for r in group),
-                batch_time_s=sum(r.stats.batch_time for r in group),
-                ttfts_s=[r.ttft_s for r in class_records
-                         if r.ttft_s is not None],
-                tpots_s=[r.tpot_s for r in class_records
-                         if r.ttft_s is not None],
-                preemptions=sum(r.preemptions for r in class_records),
-                mean_kv_occupancy=(sum(r.stats.kv_occ_time for r in group)
-                                   / class_time if class_time > 0 else 0.0),
-                peak_kv_occupancy=max(
-                    (r.stats.peak_kv_occupancy for r in group), default=0.0),
-                kv_total_blocks=(group[0].kv.total_blocks
-                                 if group[0].kv is not None else 0),
-                swap_out_count=sum(r.kv.swap_out_count for r in group
-                                   if r.kv is not None),
-                swap_in_count=sum(r.kv.swap_in_count for r in group
-                                  if r.kv is not None),
-                prefix_hits=sum(r.kv.prefix_hits for r in group
-                                if r.kv is not None),
-                prefill_tokens_saved=sum(r.kv.prefix_tokens_reused
-                                         for r in group
-                                         if r.kv is not None),
-                handoffs_out=sum(r.stats.handoff_out_count for r in group),
-                handoffs_in=sum(r.stats.handoff_in_count for r in group),
-                handoff_time_s=sum(r.stats.handoff_time_s for r in group),
-            ))
-        return out
 
     def _metrics_streaming(self, collector: StreamingMetricsCollector,
                            runtimes: List[InstanceRuntime],
@@ -1115,86 +1042,53 @@ class TokenServingEngine:
         """Streaming-mode metrics assembly: counters and step accounting
         are exact (identical to full mode), latency distributions come as
         :class:`~repro.serving.metrics.StreamingQuantile` aggregates, and
-        the per-request lists stay empty."""
+        the per-request lists stay empty.  Per-class request and token
+        counters come from the collector's per-class tallies; per-class
+        latency *percentiles* are full-fidelity only, but the mean TTFT
+        survives via the count/sum pair."""
         makespan = collector.max_finish_s
-        pool_time = makespan * self.num_instances
-        managers = self.last_kv_managers
-        kv_block_size, kv_total_blocks = self._kv_pool_shape()
+
+        def tally_fields(group: List[InstanceRuntime]) -> Dict[str, Any]:
+            tally = collector.per_class.get(group[0].class_label,
+                                            [0, 0, 0, 0, 0.0])
+            return dict(requests=tally[0], generated_tokens=tally[1],
+                        preemptions=tally[2], ttft_count=tally[3],
+                        ttft_sum_s=tally[4])
+
         return ServingMetrics(
             num_requests=collector.count,
-            num_instances=self.num_instances,
-            num_nodes_per_instance=self.num_nodes_per_instance,
-            makespan_s=makespan,
             generated_tokens=collector.generated_tokens,
             preemptions=collector.preemptions,
-            policy=self.policy,
-            prefill_mode=self.prefill_mode,
-            busy_time_s=stats.busy_time,
-            prefill_tokens_processed=stats.prefill_tokens,
-            decode_step_time_s=stats.decode_time,
-            prefill_step_time_s=stats.prefill_time,
-            mixed_step_time_s=stats.mixed_time,
-            kv_mode=self._kv_mode,
-            kv_block_size=kv_block_size,
-            kv_total_blocks=kv_total_blocks,
-            mean_running_batch=(stats.batch_time / pool_time
-                                if pool_time > 0 else 0.0),
-            mean_kv_occupancy=(stats.kv_occ_time / pool_time
-                               if pool_time > 0 else 0.0),
-            peak_kv_occupancy=stats.peak_kv_occupancy,
-            mean_kv_fragmentation=(stats.frag_time / stats.busy_time
-                                   if stats.busy_time > 0 else 0.0),
-            swap_out_count=sum(m.swap_out_count for m in managers),
-            swap_in_count=sum(m.swap_in_count for m in managers),
-            swapped_bytes=sum(m.swapped_bytes_total for m in managers),
-            swap_time_s=stats.swap_time_s,
-            handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
-            handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
-            kv_prefix_sharing=self.kv_prefix_sharing,
-            prefix_hits=sum(m.prefix_hits for m in managers),
-            prefill_tokens_saved=sum(m.prefix_tokens_reused
-                                     for m in managers),
-            cow_copies=sum(m.cow_copies for m in managers),
-            mean_kv_shared_fraction=(stats.shared_kv_time / stats.busy_time
-                                     if stats.busy_time > 0 else 0.0),
-            cluster=str(self.cluster),
-            router=self.router.name,
-            per_class=self._per_class_streaming(collector, runtimes,
-                                                makespan),
+            per_class=self._per_class(runtimes, makespan, tally_fields),
             metrics_mode="streaming",
             streams=collector.streams(),
             slo_pin=collector.slo,
             slo_good_requests=collector.slo_good,
+            **self._pool_fields(runtimes, stats, makespan),
         )
 
-    def _per_class_streaming(self, collector: StreamingMetricsCollector,
-                             runtimes: List[InstanceRuntime],
-                             makespan: float) -> List[InstanceClassMetrics]:
-        """Per-class aggregates without per-request records: request and
-        token counters come from the collector's per-class tallies, the
-        time-weighted accumulators from the per-runtime stats (exactly as
-        in full mode).  Per-class latency *percentiles* are full-fidelity
-        only; the mean TTFT survives via the count/sum pair."""
+    @staticmethod
+    def _per_class(runtimes: List[InstanceRuntime], makespan: Seconds,
+                   request_fields: Callable[[List[InstanceRuntime]],
+                                            Dict[str, Any]]
+                   ) -> List[InstanceClassMetrics]:
+        """Aggregate the per-runtime accumulators by instance class (spec
+        order); ``request_fields`` supplies the per-request counters of
+        one class's runtimes, from records or from streaming tallies."""
         by_label: Dict[str, List[InstanceRuntime]] = {}
         for runtime in runtimes:
             by_label.setdefault(runtime.class_label, []).append(runtime)
         out: List[InstanceClassMetrics] = []
         for label, group in by_label.items():
-            tally = collector.per_class.get(label, [0, 0, 0, 0, 0.0])
             class_time = makespan * len(group)
             out.append(InstanceClassMetrics(
                 label=label,
                 num_instances=len(group),
                 num_nodes=group[0].num_nodes,
                 role=group[0].role,
-                requests=tally[0],
-                generated_tokens=tally[1],
                 makespan_s=makespan,
                 busy_time_s=sum(r.stats.busy_time for r in group),
                 batch_time_s=sum(r.stats.batch_time for r in group),
-                ttft_count=tally[3],
-                ttft_sum_s=tally[4],
-                preemptions=tally[2],
                 mean_kv_occupancy=(sum(r.stats.kv_occ_time for r in group)
                                    / class_time if class_time > 0 else 0.0),
                 peak_kv_occupancy=max(
@@ -1213,5 +1107,6 @@ class TokenServingEngine:
                 handoffs_out=sum(r.stats.handoff_out_count for r in group),
                 handoffs_in=sum(r.stats.handoff_in_count for r in group),
                 handoff_time_s=sum(r.stats.handoff_time_s for r in group),
+                **request_fields(group),
             ))
         return out

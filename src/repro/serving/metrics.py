@@ -27,6 +27,23 @@ from repro.units import Blocks, Bytes, Joules, Seconds, Tokens
 METRICS_MODES = ("full", "streaming")
 
 
+def check_slo(ttft_slo_s: Seconds,
+              tpot_slo_s: Seconds) -> Tuple[Seconds, Seconds]:
+    """Validate an SLO pair and return it as floats.
+
+    A NaN threshold fails every comparison and a negative one no latency
+    can meet, so either would silently count zero SLO-good requests;
+    both are rejected with a ``ValueError`` naming the bad value.  0.0 is
+    legal (an unattainable but well-defined target).
+    """
+    pair = (float(ttft_slo_s), float(tpot_slo_s))
+    for name, value in zip(("ttft_slo_s", "tpot_slo_s"), pair):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"{name} must be a finite, non-negative "
+                             f"number of seconds; got {value!r}")
+    return pair
+
+
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile (``fraction`` in [0, 1])."""
     if not values:
@@ -490,8 +507,10 @@ class ServingMetrics:
         In streaming mode the per-request pairs no longer exist, so
         attainment is counted online against the SLO pair pinned at run
         time (``slo_pin``); querying any other pair raises ``ValueError``
-        — a silently wrong number would be worse than no number.
+        — a silently wrong number would be worse than no number.  A
+        non-finite or negative SLO value raises ``ValueError`` too.
         """
+        check_slo(ttft_slo_s, tpot_slo_s)
         if not self.ttfts_s:
             if self.streams is not None:
                 eligible = self.streams["ttft"].count

@@ -54,8 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - schedulers is imported by instance
 #: lexicographically; the policy heap adds a sequence number for ties.
 SortKey = Tuple[float, ...]
 
-#: Policy names accepted by the engine/CLI (`fifo-exclusive` is handled by
-#: :class:`repro.serving.simulator.ServingSimulator`).
+#: Token-level policy names accepted by the engine.  The CLI and
+#: :func:`repro.analysis.serving.run_policy` also accept ``fifo-exclusive``,
+#: which ``run_policy`` serves on the whole-request
+#: :class:`repro.serving.simulator.ServingSimulator` instead.
 POLICY_NAMES = ("fifo", "sjf", "priority")
 
 

@@ -1,18 +1,19 @@
 """Queueing simulation of a pool of LoopLynx instances serving a trace.
 
 Each *instance* is one LoopLynx deployment (1, 2 or 4 accelerator nodes).
-The historical model — and the ``policy="fifo-exclusive"`` compatibility mode
-kept here — serves one request at a time per instance, so the pool behaves as
-a multi-server FIFO queue over whole-request service times from the cycle
+This is the historical whole-request model, the ``fifo-exclusive`` policy:
+each instance serves one request at a time, so the pool behaves as a
+multi-server FIFO queue over whole-request service times from the cycle
 model (:meth:`repro.core.multi_node.LoopLynxSystem.run_scenario`), memoized
 because traces repeat request shapes.
 
-Any other ``policy`` (``fifo``, ``sjf``, ``priority``) delegates to the
-token-level engine (:class:`repro.serving.engine.TokenServingEngine`), which
-schedules at decode-step granularity with continuous batching.  With batching
-disabled (``max_batch_size=1``, whole-prompt prefill, exact context timing)
-the engine reproduces the FIFO-exclusive numbers — a property the test suite
-checks.
+Token-level policies (``fifo``, ``sjf``, ``priority``) run on
+:class:`repro.serving.engine.TokenServingEngine`, which schedules at
+decode-step granularity with continuous batching;
+:func:`repro.analysis.serving.run_policy` is the one switch between the two
+models.  With batching disabled (``max_batch_size=1``, whole-prompt
+prefill, exact context timing) the engine reproduces the FIFO-exclusive
+numbers — a property the test suite checks.
 
 The simulation is event-based over request arrivals and completions — no
 wall-clock time is involved, so results are exact and reproducible.
@@ -22,14 +23,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.serving.metrics import ServingMetrics
-from repro.workloads.traces import Request, RequestTrace
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports are lazy here
-    from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.workloads.traces import RequestTrace
 
 #: Policy name of the whole-request, one-request-per-instance FIFO mode.
 FIFO_EXCLUSIVE = "fifo-exclusive"
@@ -61,36 +59,17 @@ class CompletedRequest:
 
 
 class ServingSimulator:
-    """Multi-instance serving simulation with a policy switch.
-
-    ``policy="fifo-exclusive"`` (the default) is the original whole-request
-    multi-server FIFO queue; other policies run the token-level engine with
-    its default continuous-batching configuration.  Extra keyword arguments
-    are forwarded to :class:`~repro.serving.engine.TokenServingEngine`.
-    """
+    """Whole-request, one-request-per-instance FIFO serving simulation
+    (the ``fifo-exclusive`` policy)."""
 
     def __init__(self, num_instances: int = 1, num_nodes_per_instance: int = 2,
-                 system: Optional[LoopLynxSystem] = None,
-                 policy: str = FIFO_EXCLUSIVE, **engine_kwargs: Any) -> None:
+                 system: Optional[LoopLynxSystem] = None) -> None:
         if num_instances <= 0:
             raise ValueError("num_instances must be positive")
         self.num_instances = num_instances
         self.num_nodes_per_instance = num_nodes_per_instance
         self.system = system or LoopLynxSystem.paper_configuration(
             num_nodes=num_nodes_per_instance)
-        self.policy = policy
-        self._engine: Optional["TokenServingEngine"] = None
-        if policy != FIFO_EXCLUSIVE:
-            from repro.serving.engine import TokenServingEngine
-
-            self._engine = TokenServingEngine(
-                num_instances=num_instances,
-                num_nodes_per_instance=num_nodes_per_instance,
-                system=self.system, policy=policy, **engine_kwargs)
-        elif engine_kwargs:
-            raise ValueError(
-                "engine options are only valid with token-level policies, "
-                f"not {FIFO_EXCLUSIVE!r}")
         self._service_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
@@ -103,16 +82,11 @@ class ServingSimulator:
         return self._service_cache[key]
 
     def run(self, trace: RequestTrace
-            ) -> Tuple[ServingMetrics,
-                       Union[Sequence[CompletedRequest],
-                             Sequence["ServedRequest"]]]:
+            ) -> Tuple[ServingMetrics, List[CompletedRequest]]:
         """Serve the trace and return aggregate metrics plus per-request
-        records (:class:`CompletedRequest` in FIFO-exclusive mode,
-        :class:`~repro.serving.engine.ServedRequest` otherwise)."""
+        records in arrival order."""
         if len(trace) == 0:
             raise ValueError("trace is empty")
-        if self._engine is not None:
-            return self._engine.run(trace)
         # each instance is represented by the time it becomes free
         free_at = [(0.0, instance_id) for instance_id in range(self.num_instances)]
         heapq.heapify(free_at)

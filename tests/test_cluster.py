@@ -4,8 +4,8 @@ The load-bearing guarantee: **homogeneous pools are bit-identical to the
 pre-cluster engine under every router**.  The goldens below were recorded
 from the PR 3 engine (before the instance/cluster split existed) on seeded
 traces with a 4-instance pool; the refactored engine must reproduce every
-timestamp exactly, through both the classic ``num_instances`` surface and
-the ``cluster="4x2n"`` spec surface, whatever router is configured.
+timestamp exactly, through the ``cluster="4x2n"`` spec and through both
+of ``run_policy``'s pool arguments, whatever router is configured.
 
 Heterogeneous behaviour is covered by conservation properties (no request
 dropped or duplicated under any router), placement assertions for the
@@ -24,7 +24,6 @@ from repro.analysis.serving import (
 )
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.cluster import (
     ClassAffinityRouter,
     ClusterSpec,
@@ -56,8 +55,7 @@ pytestmark = pytest.mark.serial
 GOLDEN = {
     # bursty_trace(24, seed=11, mean_prefill=48, mean_decode=96,
     #              burst_size=12) through
-    # TokenServingEngine(num_instances=4, num_nodes_per_instance=2,
-    #                    policy="fifo", max_batch_size=4)
+    # TokenServingEngine(cluster="4x2n", policy="fifo", max_batch_size=4)
     "cluster-bursty-fifo": [
         (0.011479621565872018, 0.31430875630567734, 1.2088578262467544),
         (0.013769473558463488, 0.2874349124192541, 0.9531465132387636),
@@ -85,8 +83,8 @@ GOLDEN = {
         (6.015462988542051, 6.228776708467478, 7.1715224464959375),
     ],
     # multi_tenant_trace(24, seed=11) through
-    # TokenServingEngine(num_instances=4, num_nodes_per_instance=2,
-    #                    policy="priority", max_batch_size=2)
+    # TokenServingEngine(cluster="4x2n", policy="priority",
+    #                    max_batch_size=2)
     "cluster-multitenant-priority": [
         (0.15306162087829356, 0.4558907556180989, 1.0416361853995675),
         (0.18359298077951314, 0.31641946111808256, 0.5482025482724936),
@@ -154,12 +152,13 @@ def _timestamps(records):
     return [(r.admitted_s, r.first_token_s, r.finish_s) for r in records]
 
 
-def _paged_manager(tokens=448, num_nodes=2, block=16):
-    system = LoopLynxSystem.paper_configuration(num_nodes=num_nodes)
-    layout = KVCacheLayout.for_model(system.config.model, num_nodes=num_nodes)
-    return system, PagedKVManager(
-        layout, block_size_tokens=block,
-        budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _paged(tokens=448):
+    """Paged KV recipe of a ``tokens``-token block pool per node (block
+    size 16) on 2-node instances."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    layout = KVCacheLayout.for_model(system.config.model, num_nodes=2)
+    return dict(kv_mode="paged", kv_block_size=16,
+                kv_budget_bytes=tokens * layout.bytes_per_token_per_node())
 
 
 class TestClusterSpec:
@@ -209,15 +208,8 @@ class TestClusterSpec:
 
 class TestHomogeneousGoldens:
     """A homogeneous 4x2n cluster reproduces the PR 3 engine's exact
-    completion times — through the classic surface and through the cluster
-    spec surface, under every router."""
-
-    def test_classic_surface_matches_golden(self):
-        engine = TokenServingEngine(num_instances=4,
-                                    num_nodes_per_instance=2,
-                                    policy="fifo", max_batch_size=4)
-        _, records = engine.run(_bursty24())
-        assert _timestamps(records) == GOLDEN["cluster-bursty-fifo"]
+    completion times under every router, built directly from the cluster
+    spec or through ``run_policy``."""
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_cluster_spec_matches_golden_under_every_router(self, router):
@@ -235,21 +227,29 @@ class TestHomogeneousGoldens:
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_paged_swap_matches_golden(self, router):
-        system, manager = _paged_manager()
-        engine = TokenServingEngine(num_instances=4,
-                                    num_nodes_per_instance=2, system=system,
-                                    policy="fifo", max_batch_size=4,
-                                    kv_block_manager=manager,
+        engine = TokenServingEngine(cluster="4x2n", policy="fifo",
+                                    max_batch_size=4, **_paged(),
                                     preemption_mode="swap", router=router)
         metrics, records = engine.run(_bursty24())
         assert _timestamps(records) == GOLDEN["cluster-bursty-fifo-paged"]
         assert metrics.swap_out_count == metrics.swap_in_count == 2
 
-    def test_run_policy_spec_surface_matches_golden(self):
-        """The CLI's ``--instances 4x2n`` path is the same engine."""
-        metrics, records = run_policy(_bursty24(), "fifo", instances="4x2n",
-                                      max_batch_size=4)
-        assert _timestamps(records) == GOLDEN["cluster-bursty-fifo"]
+    @pytest.mark.parametrize("kv", ["plain", "paged"])
+    @pytest.mark.parametrize("pool", [
+        dict(instances="4x2n"),
+        dict(num_instances=4, num_nodes_per_instance=2),
+    ], ids=["instances", "num_instances"])
+    def test_run_policy_spec_surface_matches_golden(self, pool, kv):
+        """The CLI's ``--instances 4x2n`` and ``--instances 4 --nodes 2``
+        paths are the same engine, plain and with the paged KV recipe."""
+        kv_kwargs = {}
+        golden = GOLDEN["cluster-bursty-fifo"]
+        if kv == "paged":
+            kv_kwargs = dict(_paged(), preemption_mode="swap")
+            golden = GOLDEN["cluster-bursty-fifo-paged"]
+        metrics, records = run_policy(_bursty24(), "fifo", max_batch_size=4,
+                                      **pool, **kv_kwargs)
+        assert _timestamps(records) == golden
         assert metrics.cluster == "4x2n"
 
 
@@ -489,12 +489,10 @@ class TestSwapPriority:
                              burst_size=16)
         results = {}
         for flag in (False, True):
-            system, manager = _paged_manager(tokens=448)
             engine = TokenServingEngine(
-                num_instances=1, num_nodes_per_instance=2, system=system,
-                policy="fifo", max_batch_size=8, prefill_mode="mixed",
-                kv_block_manager=manager, preemption_mode="swap",
-                swap_priority=flag)
+                cluster="1x2n", policy="fifo", max_batch_size=8,
+                prefill_mode="mixed", **_paged(tokens=448),
+                preemption_mode="swap", swap_priority=flag)
             results[flag], _ = engine.run(trace)
         base, prioritized = results[False], results[True]
         assert prioritized.swap_in_count < base.swap_in_count
@@ -506,10 +504,8 @@ class TestSwapPriority:
     def test_swap_priority_off_is_bit_identical(self):
         """The flag defaults off, and off means the PR 3 behaviour."""
         trace = _bursty24()
-        system, manager = _paged_manager()
         engine = TokenServingEngine(
-            num_instances=4, num_nodes_per_instance=2, system=system,
-            policy="fifo", max_batch_size=4, kv_block_manager=manager,
+            cluster="4x2n", policy="fifo", max_batch_size=4, **_paged(),
             preemption_mode="swap")
         assert engine.swap_priority is False
         _, records = engine.run(trace)
@@ -530,19 +526,6 @@ class TestSwapPriority:
 
 
 class TestEngineClusterValidation:
-    def test_cluster_rejects_prototype_kv_objects(self):
-        system, manager = _paged_manager()
-        with pytest.raises(ValueError):
-            TokenServingEngine(cluster="2x1n,1x2n", kv_block_manager=manager)
-        with pytest.raises(ValueError):
-            TokenServingEngine(cluster="2x1n,1x2n", system=system)
-
-    def test_kv_recipe_requires_cluster(self):
-        with pytest.raises(ValueError):
-            TokenServingEngine(num_instances=2, kv_mode="paged")
-        with pytest.raises(ValueError):
-            TokenServingEngine(num_instances=2, kv_budget_bytes=1 << 20)
-
     def test_kv_budget_without_mode_is_rejected(self):
         """A budget that would be silently unenforced is an error, not a
         no-op — both via the engine argument and via a spec override."""

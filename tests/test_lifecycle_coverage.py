@@ -19,7 +19,6 @@ import pytest
 from repro.core.multi_node import LoopLynxSystem
 from repro.errors import InvariantError
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
 from repro.serving.engine import TokenServingEngine
 from repro.workloads.scenarios import Scenario
@@ -36,12 +35,12 @@ def _trace(shapes, gap_s=0.0, priorities=None):
     return RequestTrace(requests=requests)
 
 
-def _tight_manager(system, tokens):
+def _budget(system, tokens):
+    """Per-node byte budget holding ``tokens`` cached positions on an
+    instance of ``system``."""
     layout = KVCacheLayout.for_model(system.config.model,
                                      num_nodes=system.num_nodes)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens
-                          * layout.bytes_per_token_per_node())
+    return tokens * layout.bytes_per_token_per_node()
 
 
 def _observe(engine, trace):
@@ -75,40 +74,39 @@ class TestDeclaredEdgeCoverage:
         # Capacity pressure with swap preemption: decoding victims are
         # swapped out and later resume without recomputing.
         runs["swap-pressure"] = _observe(
-            TokenServingEngine(num_instances=1, system=system, policy="fifo",
+            TokenServingEngine(cluster="1x2n", policy="fifo",
                                max_batch_size=4, preemption_mode="swap",
-                               kv_block_manager=_tight_manager(system, 176),
+                               kv_mode="paged",
+                               kv_budget_bytes=_budget(system, 176),
                                sanitize=True),
             _trace([(24, 80)] * 5, gap_s=0.01))
         # Same pressure, recompute preemption: victims drop their blocks
         # and re-enter through the queue.
         runs["recompute-pressure"] = _observe(
-            TokenServingEngine(num_instances=1, system=system, policy="fifo",
+            TokenServingEngine(cluster="1x2n", policy="fifo",
                                max_batch_size=4, preemption_mode="recompute",
-                               kv_block_manager=_tight_manager(system, 176),
+                               kv_mode="paged",
+                               kv_budget_bytes=_budget(system, 176),
                                sanitize=True),
             _trace([(24, 80)] * 5, gap_s=0.01))
         # Priority preemption with a single-slot batch and a long chunked
         # prompt: the victim is evicted *mid-prefill*, exercising the
         # prefill-phase eviction/resume edges (swap and recompute).
-        prio = dict(num_instances=1, system=system, policy="priority",
-                    max_batch_size=1, prefill_chunk_tokens=64, sanitize=True)
+        prio = dict(cluster="1x2n", policy="priority", max_batch_size=1,
+                    prefill_chunk_tokens=64, kv_mode="paged",
+                    kv_budget_bytes=_budget(system, 1024), sanitize=True)
         prio_trace = _trace([(512, 16), (64, 16)], gap_s=0.05,
                             priorities=[0, 5])
         runs["priority-swap"] = _observe(
-            TokenServingEngine(preemption_mode="swap",
-                               kv_block_manager=_tight_manager(system, 1024),
-                               **prio),
+            TokenServingEngine(preemption_mode="swap", **prio),
             prio_trace)
         runs["priority-recompute"] = _observe(
-            TokenServingEngine(preemption_mode="recompute",
-                               kv_block_manager=_tight_manager(system, 1024),
-                               **prio),
+            TokenServingEngine(preemption_mode="recompute", **prio),
             prio_trace)
         # A prompt-only request (decode_len == 0) finishes straight out
         # of prefill.
         runs["prompt-only"] = _observe(
-            TokenServingEngine(num_instances=1, max_batch_size=2,
+            TokenServingEngine(cluster="1x2n", max_batch_size=2,
                                sanitize=True),
             _trace([(32, 0), (32, 8)]))
         return runs

@@ -15,7 +15,6 @@ import pytest
 from repro.analysis.serving import prefill_mode_comparison, run_policy
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.engine import TokenServingEngine
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
@@ -36,7 +35,7 @@ pytestmark = pytest.mark.serial
 # ---------------------------------------------------------------------------
 GOLDEN = {
     # bursty_trace(16, seed=7, mean_prefill=48, mean_decode=128, burst_size=8)
-    # through TokenServingEngine(num_instances=1, policy="fifo",
+    # through TokenServingEngine(cluster="1x2n", policy="fifo",
     #                            max_batch_size=8)
     "bursty-fifo": [
         (0.03537646278959607, 1.1664274656766287, 3.847718447129387),
@@ -57,7 +56,7 @@ GOLDEN = {
         (5.052683619030796, 5.303381188623658, 6.520609348777035),
     ],
     # multi_tenant_trace(16, seed=7) through
-    # TokenServingEngine(num_instances=1, policy="priority", max_batch_size=2)
+    # TokenServingEngine(cluster="1x2n", policy="priority", max_batch_size=2)
     "multitenant-priority": [
         (0.47168617052794765, 0.6491565642162102, 0.9147159132460281),
         (1.0684260795913896, 1.489705979254362, 1.7646527313701945),
@@ -94,11 +93,12 @@ def _trace(shapes, gap_s=0.0, priorities=None):
     return RequestTrace(requests=requests)
 
 
-def _tight_manager(system, tokens):
-    layout = KVCacheLayout.for_model(system.config.model,
-                                     num_nodes=system.num_nodes)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _budget(tokens):
+    """Per-node byte budget holding ``tokens`` cached positions on a
+    2-node instance of the paper model."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    layout = KVCacheLayout.for_model(system.config.model, num_nodes=2)
+    return tokens * layout.bytes_per_token_per_node()
 
 
 class TestExclusiveBitIdentical:
@@ -106,7 +106,7 @@ class TestExclusiveBitIdentical:
     timestamp-for-timestamp (exact float equality, no tolerance)."""
 
     def test_bursty_fifo_matches_golden(self):
-        engine = TokenServingEngine(num_instances=1, policy="fifo",
+        engine = TokenServingEngine(cluster="1x2n", policy="fifo",
                                     max_batch_size=8)
         assert engine.prefill_mode == "exclusive"  # the default
         _, records = engine.run(_bursty16())
@@ -114,7 +114,7 @@ class TestExclusiveBitIdentical:
         assert got == GOLDEN["bursty-fifo"]
 
     def test_multitenant_priority_matches_golden(self):
-        engine = TokenServingEngine(num_instances=1, policy="priority",
+        engine = TokenServingEngine(cluster="1x2n", policy="priority",
                                     max_batch_size=2)
         _, records = engine.run(multi_tenant_trace(16, seed=7))
         got = [(r.admitted_s, r.first_token_s, r.finish_s) for r in records]
@@ -169,18 +169,18 @@ class TestMixedMode:
         exclusive mode the decode pauses for the whole prompt, in mixed mode
         it keeps emitting tokens, so its finish time improves."""
         trace = _trace([(16, 200), (256, 8)], gap_s=0.2)
-        _, exclusive = TokenServingEngine(num_instances=1, policy="fifo",
+        _, exclusive = TokenServingEngine(cluster="1x2n", policy="fifo",
                                           max_batch_size=4).run(trace)
-        _, mixed = TokenServingEngine(num_instances=1, policy="fifo",
+        _, mixed = TokenServingEngine(cluster="1x2n", policy="fifo",
                                       max_batch_size=4,
                                       prefill_mode="mixed").run(trace)
         assert mixed[0].finish_s < exclusive[0].finish_s
 
     def test_improves_tail_ttft_at_no_throughput_cost(self):
         trace = _bursty16()
-        exclusive, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        exclusive, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                           max_batch_size=8).run(trace)
-        mixed, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        mixed, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                       max_batch_size=8,
                                       prefill_mode="mixed").run(trace)
         assert mixed.ttft_percentile_s(0.95) < exclusive.ttft_percentile_s(0.95)
@@ -189,7 +189,7 @@ class TestMixedMode:
 
     def test_prefill_tokens_and_step_shares(self):
         trace = _bursty16()
-        mixed, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        mixed, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                       max_batch_size=8,
                                       prefill_mode="mixed").run(trace)
         assert mixed.prefill_mode == "mixed"
@@ -203,7 +203,7 @@ class TestMixedMode:
         assert summary["mixed_time_share"] == mixed.mixed_time_share
 
     def test_exclusive_never_builds_mixed_steps(self):
-        exclusive, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        exclusive, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                           max_batch_size=8).run(_bursty16())
         assert exclusive.prefill_mode == "exclusive"
         assert exclusive.mixed_step_time_s == 0.0
@@ -239,13 +239,12 @@ class TestTokenConservation:
     @pytest.mark.parametrize("preemption_mode", ["swap", "recompute"])
     def test_paged_mixed_conserves_tokens_under_preemption(self,
                                                            preemption_mode):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
+            cluster="1x2n", policy="fifo", max_batch_size=8,
             prefill_mode="mixed",
-            kv_block_manager=_tight_manager(system, 320),
+            kv_mode="paged", kv_budget_bytes=_budget(320),
             preemption_mode=preemption_mode)
         metrics, records = engine.run(trace)
         assert metrics.num_requests == len(trace)
@@ -270,14 +269,13 @@ class TestTokenConservation:
         each other forever.  Mixed mode restricts equal-priority capacity
         eviction to members admitted no earlier than the grower, so the
         oldest resident always runs to completion."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         # each request peaks at 160 cached positions = 10 of 12 blocks, so
         # the pool can only ever complete them one at a time
         trace = _trace([(32, 128), (32, 128)], gap_s=0.01)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=4,
+            cluster="1x2n", policy="fifo", max_batch_size=4,
             prefill_mode="mixed",
-            kv_block_manager=_tight_manager(system, 192),
+            kv_mode="paged", kv_budget_bytes=_budget(192),
             preemption_mode="recompute")
         metrics, records = engine.run(trace)
         assert metrics.num_requests == 2
@@ -287,7 +285,7 @@ class TestTokenConservation:
 class TestUtilizationAccounting:
     def test_engine_utilization_is_busy_over_capacity(self):
         trace = _bursty16()
-        metrics, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        metrics, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                         max_batch_size=8).run(trace)
         assert metrics.busy_time_s > 0
         assert metrics.instance_utilization == pytest.approx(
@@ -301,7 +299,7 @@ class TestUtilizationAccounting:
         trace = _trace([(16, 300), (16, 32), (16, 32)], gap_s=0.1,
                        priorities=[0, 5, 5])
         metrics, records = TokenServingEngine(
-            num_instances=1, policy="priority", max_batch_size=1).run(trace)
+            cluster="1x2n", policy="priority", max_batch_size=1).run(trace)
         assert metrics.preemptions >= 1
         old_estimate = (sum(metrics.service_times_s)
                         / (metrics.makespan_s * metrics.num_instances))
@@ -312,6 +310,6 @@ class TestUtilizationAccounting:
     def test_mixed_busy_time_never_exceeds_capacity(self):
         for prefill_mode in ("exclusive", "mixed"):
             metrics, _ = TokenServingEngine(
-                num_instances=2, policy="fifo", max_batch_size=4,
+                cluster="2x2n", policy="fifo", max_batch_size=4,
                 prefill_mode=prefill_mode).run(_bursty16())
             assert metrics.instance_utilization <= 1.0

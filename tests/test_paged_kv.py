@@ -9,7 +9,6 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import DEFAULT_HOST_LINK, PagedKVManager
 from repro.serving.engine import TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import Request, RequestTrace, bursty_trace
 
@@ -171,20 +170,19 @@ class TestPagedKVManager:
             PagedKVManager(_layout(), nodes_per_card=0)
 
 
-def _tight_manager(system, tokens):
-    layout = _system_layout(system)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _budget(tokens):
+    """Per-node byte budget holding ``tokens`` cached positions on a
+    2-node instance of the paper model."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    return tokens * _system_layout(system).bytes_per_token_per_node()
 
 
 class TestEnginePagedMode:
     def _run(self, trace, tokens=256, policy="fifo", preemption_mode="swap",
              max_batch_size=4):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy=policy,
-            max_batch_size=max_batch_size,
-            kv_block_manager=_tight_manager(system, tokens),
+            cluster="1x2n", policy=policy, max_batch_size=max_batch_size,
+            kv_mode="paged", kv_budget_bytes=_budget(tokens),
             preemption_mode=preemption_mode)
         metrics, records = engine.run(trace)
         return engine, metrics, records
@@ -236,17 +234,14 @@ class TestEnginePagedMode:
     def test_paged_admits_more_than_reservation(self):
         """The tentpole property: with identical capacity, on-demand block
         allocation runs a bigger batch than worst-case reservations."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = _trace([(16, 96)] * 6, gap_s=0.01)
-        tokens = 288
-        layout = _system_layout(system)
+        budget = _budget(288)
         paged = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
-            kv_block_manager=_tight_manager(system, tokens))
+            cluster="1x2n", policy="fifo", max_batch_size=8,
+            kv_mode="paged", kv_budget_bytes=budget)
         reserve = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
-            kv_controller=KVAdmissionController(
-                layout, budget_bytes=tokens * layout.bytes_per_token_per_node()))
+            cluster="1x2n", policy="fifo", max_batch_size=8,
+            kv_mode="reserve", kv_budget_bytes=budget)
         paged_metrics, _ = paged.run(trace)
         reserve_metrics, _ = reserve.run(trace)
         assert paged_metrics.mean_running_batch > \
@@ -271,12 +266,11 @@ class TestEnginePagedMode:
         its KV cannot teleport to another instance's pool for free.  Every
         swap-out is therefore matched by a swap-in even with multiple
         instances competing for the queue."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
         engine = TokenServingEngine(
-            num_instances=2, system=system, policy="fifo", max_batch_size=8,
-            kv_block_manager=_tight_manager(system, 320),
+            cluster="2x2n", policy="fifo", max_batch_size=8,
+            kv_mode="paged", kv_budget_bytes=_budget(320),
             preemption_mode="swap")
         metrics, records = engine.run(trace)
         assert metrics.num_requests == len(trace)
@@ -315,16 +309,6 @@ class TestEnginePagedMode:
         with pytest.raises(ValueError):
             self._run(trace, tokens=128)
 
-    def test_mutually_exclusive_kv_modes(self):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = _system_layout(system)
-        with pytest.raises(ValueError):
-            TokenServingEngine(
-                kv_controller=KVAdmissionController(layout),
-                kv_block_manager=_tight_manager(system, 256))
-        with pytest.raises(ValueError):
-            TokenServingEngine(preemption_mode="discard")
-
 
 class TestReservationRegression:
     """Reservation mode must reproduce PR 1 behaviour exactly — the paged
@@ -335,16 +319,12 @@ class TestReservationRegression:
 
         trace = bursty_trace(16, seed=7, mean_prefill=48, mean_decode=128,
                              burst_size=8)
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = _system_layout(system)
-        budget = 640 * layout.bytes_per_token_per_node()
+        budget = _budget(640)
         via_helper, helper_records = run_policy(
             trace, "fifo", kv_budget_bytes=budget, kv_mode="reserve")
-        controller = KVAdmissionController.for_system(system,
-                                                      budget_bytes=budget)
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="fifo", max_batch_size=8,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(cluster="1x2n", policy="fifo",
+                                    max_batch_size=8, kv_mode="reserve",
+                                    kv_budget_bytes=budget)
         direct, direct_records = engine.run(trace)
         assert via_helper.makespan_s == direct.makespan_s
         assert via_helper.kv_mode == direct.kv_mode == "reserve"
@@ -356,7 +336,7 @@ class TestReservationRegression:
 
     def test_no_kv_engine_reports_mode_none(self):
         trace = _trace([(16, 32)] * 3, gap_s=0.01)
-        metrics, _ = TokenServingEngine(num_instances=1).run(trace)
+        metrics, _ = TokenServingEngine(cluster="1x2n").run(trace)
         assert metrics.kv_mode == "none"
         assert metrics.swap_out_count == 0
         assert metrics.swapped_bytes == 0

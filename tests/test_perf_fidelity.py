@@ -62,7 +62,7 @@ class TestMultistepFolding:
         trace = bursty_trace(400, seed=11, mean_prefill=48, mean_decode=96)
         runs = {}
         for multistep in (True, False):
-            engine = TokenServingEngine(num_instances=2, max_batch_size=4,
+            engine = TokenServingEngine(cluster="2x2n", max_batch_size=4,
                                         multistep=multistep, **kwargs)
             runs[multistep] = engine.run(trace)
         metrics_on, records_on = runs[True]
@@ -79,7 +79,7 @@ class TestMultistepFolding:
         """The equivalence above must not pass vacuously: a quiet queue on
         a fifo pool is exactly where folding fires."""
         trace = bursty_trace(200, seed=11, mean_prefill=48, mean_decode=96)
-        engine = TokenServingEngine(num_instances=2, max_batch_size=4)
+        engine = TokenServingEngine(cluster="2x2n", max_batch_size=4)
         runs = engine._build_runtimes()
         assert all(r.allow_multistep for r in runs)
         # paged KV and heterogeneous pools must keep it off
@@ -95,7 +95,7 @@ class TestWarmCacheBitIdentity:
     CONFIGS = {
         "paged": dict(cluster="2x1n", kv_mode="paged",
                       kv_budget_bytes=16 << 20, max_batch_size=4),
-        "mixed": dict(num_instances=2, prefill_mode="mixed",
+        "mixed": dict(cluster="2x2n", prefill_mode="mixed",
                       max_batch_size=4),
         "disaggregated": dict(cluster="1x2n:prefill,2x1n:decode",
                               kv_mode="paged", kv_budget_bytes=64 << 20,
@@ -158,7 +158,7 @@ class TestLazyTraceEquivalence:
     def test_out_of_order_stream_is_rejected(self):
         shuffled = bursty_trace(20, seed=2).requests[::-1]
         stream = StreamingTrace(factory=lambda: iter(shuffled), length=20)
-        engine = TokenServingEngine(num_instances=1)
+        engine = TokenServingEngine(cluster="1x2n")
         with pytest.raises(ValueError, match="sorted by arrival"):
             engine.run(stream)
 
@@ -188,7 +188,7 @@ class TestIdleGapFolding:
                                 CountingQueue)
         from repro.workloads.traces import synthetic_trace
         trace = synthetic_trace(400, **self.TRACE_KW)
-        engine = TokenServingEngine(num_instances=4, max_batch_size=4,
+        engine = TokenServingEngine(cluster="4x2n", max_batch_size=4,
                                     policy="fifo", multistep=multistep)
         return engine.run(trace)
 

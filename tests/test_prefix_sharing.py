@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from test_cluster import GOLDEN, _bursty24, _paged_manager, _timestamps
+from test_cluster import GOLDEN, _bursty24, _paged, _timestamps
 
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
@@ -65,13 +65,10 @@ class TestGoldenGuardSharingOff:
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_paged_swap_golden_with_ids_attached(self, router):
-        system, manager = _paged_manager()
-        assert manager.prefix_sharing is False
-        engine = TokenServingEngine(num_instances=4,
-                                    num_nodes_per_instance=2, system=system,
-                                    policy="fifo", max_batch_size=4,
-                                    kv_block_manager=manager,
+        engine = TokenServingEngine(cluster="4x2n", policy="fifo",
+                                    max_batch_size=4, **_paged(),
                                     preemption_mode="swap", router=router)
+        assert engine.kv_prefix_sharing is False
         metrics, records = engine.run(_with_prompt_ids(_bursty24()))
         assert _timestamps(records) == GOLDEN["cluster-bursty-fifo-paged"]
         assert metrics.kv_prefix_sharing is False

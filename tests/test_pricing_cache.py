@@ -136,7 +136,7 @@ class TestEngineWarmStart:
     TRACE_KW = dict(seed=3, mean_prefill=40, mean_decode=64)
 
     def _run(self, trace, cache):
-        engine = TokenServingEngine(num_instances=2, max_batch_size=4,
+        engine = TokenServingEngine(cluster="2x2n", max_batch_size=4,
                                     policy="fifo", pricing_cache=cache)
         metrics, records = engine.run(trace)
         return metrics.makespan_s, records, dict(engine.pricing_cache_stats)

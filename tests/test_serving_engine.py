@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.serving.engine import TokenServingEngine
 from repro.serving.schedulers import (
     FifoScheduler,
     KVAdmissionController,
@@ -22,6 +22,14 @@ from repro.workloads.traces import (
     multi_tenant_trace,
     synthetic_trace,
 )
+
+
+def _token_bytes():
+    """KV bytes one cached token occupies on each node of a 2-node
+    instance of the paper model."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    return KVCacheLayout.for_model(system.config.model,
+                                   num_nodes=2).bytes_per_token_per_node()
 
 
 def _trace(shapes, gap_s=0.0, priorities=None):
@@ -144,20 +152,11 @@ class TestKVAdmission:
     def test_priority_preempts_on_kv_exhaustion_with_free_slots(self):
         """A KV-blocked high-priority head evicts low-priority work even when
         batch slots are free (no priority inversion through the cache)."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = KVCacheLayout(
-            num_layers=system.config.model.num_layers,
-            num_heads=system.config.model.num_heads,
-            head_dim=system.config.model.head_dim,
-            max_seq_len=system.config.model.max_seq_len,
-            num_nodes=2)
         # room for one 64-token reservation plus a little, not two
-        controller = KVAdmissionController(
-            layout, budget_bytes=80 * layout.bytes_per_token_per_node())
         trace = _trace([(16, 48), (16, 48)], gap_s=0.05, priorities=[0, 5])
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="priority", max_batch_size=4,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(cluster="1x2n", policy="priority",
+                                    max_batch_size=4, kv_mode="reserve",
+                                    kv_budget_bytes=80 * _token_bytes())
         metrics, records = engine.run(trace)
         low, high = records
         assert low.preemptions >= 1
@@ -166,26 +165,17 @@ class TestKVAdmission:
     def test_no_futile_eviction_when_head_still_would_not_fit(self):
         """When evicting one victim cannot free enough KV for the head, the
         victim keeps its progress (no work thrown away for nothing)."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = KVCacheLayout(
-            num_layers=system.config.model.num_layers,
-            num_heads=system.config.model.num_heads,
-            head_dim=system.config.model.head_dim,
-            max_seq_len=system.config.model.max_seq_len,
-            num_nodes=2)
         # resident lows: 68 + 20 of 150 tokens; the preemption victim is the
         # most recently admitted (the 20-token one), and evicting it cannot
         # fit the 96-token head (150 - 88 + 20 = 82 < 96), so it must be
         # spared and allowed to finish its own decode
-        controller = KVAdmissionController(
-            layout, budget_bytes=150 * layout.bytes_per_token_per_node())
         # gaps wide enough that both lows are resident before the high
         # arrives (admission happens at step boundaries)
         trace = _trace([(8, 60), (8, 12), (16, 80)], gap_s=0.05,
                        priorities=[0, 0, 5])
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="priority", max_batch_size=4,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(cluster="1x2n", policy="priority",
+                                    max_batch_size=4, kv_mode="reserve",
+                                    kv_budget_bytes=150 * _token_bytes())
         metrics, records = engine.run(trace)
         assert metrics.num_requests == 3
         low_long, low_short, high = records
@@ -200,26 +190,17 @@ class TestKVAdmission:
     def test_admission_blocks_when_cache_full(self):
         """With room for only one max-context request, the second queues for
         the whole duration of the first even though batch slots are free."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = KVCacheLayout(
-            num_layers=system.config.model.num_layers,
-            num_heads=system.config.model.num_heads,
-            head_dim=system.config.model.head_dim,
-            max_seq_len=system.config.model.max_seq_len,
-            num_nodes=2)
         trace = _trace([(16, 48), (16, 48)])
-        controller = KVAdmissionController(
-            layout, budget_bytes=64 * layout.bytes_per_token_per_node())
-        blocked = TokenServingEngine(num_instances=1, system=system,
-                                     policy="fifo", max_batch_size=4,
-                                     kv_controller=controller)
+        blocked = TokenServingEngine(cluster="1x2n", policy="fifo",
+                                     max_batch_size=4, kv_mode="reserve",
+                                     kv_budget_bytes=64 * _token_bytes())
         metrics, records = blocked.run(trace)
         assert metrics.num_requests == 2
         # second request admitted only once the first released its KV
         assert records[1].admitted_s == pytest.approx(records[0].finish_s)
 
-        roomy = TokenServingEngine(num_instances=1, system=system,
-                                   policy="fifo", max_batch_size=4)
+        roomy = TokenServingEngine(cluster="1x2n", policy="fifo",
+                                   max_batch_size=4)
         _, free_records = roomy.run(trace)
         assert free_records[1].admitted_s < records[1].admitted_s
 
@@ -227,7 +208,7 @@ class TestKVAdmission:
 class TestTokenServingEngine:
     def test_every_request_served_once(self):
         trace = synthetic_trace(10, seed=3, mean_prefill=32, mean_decode=48)
-        engine = TokenServingEngine(num_instances=2, policy="fifo")
+        engine = TokenServingEngine(cluster="2x2n", policy="fifo")
         metrics, records = engine.run(trace)
         assert metrics.num_requests == 10
         assert [r.request_id for r in records] == list(range(10))
@@ -235,7 +216,7 @@ class TestTokenServingEngine:
 
     def test_token_timeline_invariants(self):
         trace = synthetic_trace(8, seed=9, mean_prefill=24, mean_decode=40)
-        _, records = TokenServingEngine(num_instances=1).run(trace)
+        _, records = TokenServingEngine(cluster="1x2n").run(trace)
         for record in records:
             assert record.admitted_s >= record.arrival_s
             assert record.first_token_s is not None
@@ -249,7 +230,7 @@ class TestTokenServingEngine:
 
     def test_ttft_less_than_latency(self):
         trace = synthetic_trace(6, seed=2, mean_decode=64)
-        metrics, records = TokenServingEngine(num_instances=1).run(trace)
+        metrics, records = TokenServingEngine(cluster="1x2n").run(trace)
         for record in records:
             if record.decode_len > 1:
                 assert record.ttft_s < record.end_to_end_latency_s
@@ -279,7 +260,7 @@ class TestTokenServingEngine:
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
         exclusive, _ = ServingSimulator(num_instances=1).run(trace)
-        batched, _ = TokenServingEngine(num_instances=1, policy="fifo",
+        batched, _ = TokenServingEngine(cluster="1x2n", policy="fifo",
                                         max_batch_size=8).run(trace)
         assert (batched.throughput_tokens_per_second
                 > exclusive.throughput_tokens_per_second)
@@ -293,7 +274,8 @@ class TestTokenServingEngine:
                                     mean_decode=48)
             old_metrics, old_records = ServingSimulator(
                 num_instances=instances).run(trace)
-            engine = TokenServingEngine(num_instances=instances, policy="fifo",
+            engine = TokenServingEngine(cluster=f"{instances}x2n",
+                                        policy="fifo",
                                         max_batch_size=1,
                                         prefill_chunk_tokens=None,
                                         context_bucket=1)
@@ -311,7 +293,7 @@ class TestTokenServingEngine:
         """A request arriving mid-flight joins the running batch instead of
         waiting for the first request to finish."""
         trace = _trace([(16, 200), (16, 40)], gap_s=0.2)
-        _, records = TokenServingEngine(num_instances=1, policy="fifo",
+        _, records = TokenServingEngine(cluster="1x2n", policy="fifo",
                                         max_batch_size=4).run(trace)
         first, second = records
         # the long request is still running when the short one starts and ends
@@ -324,7 +306,7 @@ class TestTokenServingEngine:
         shapes = [(16, 64)] * 6
         priorities = [0, 0, 0, 0, 0, 5]
         trace = _trace(shapes, gap_s=0.01, priorities=priorities)
-        _, records = TokenServingEngine(num_instances=1, policy="priority",
+        _, records = TokenServingEngine(cluster="1x2n", policy="priority",
                                         max_batch_size=1).run(trace)
         urgent = records[5]
         queued_lows = [r for r in records[1:5]]
@@ -335,7 +317,7 @@ class TestTokenServingEngine:
         trace = _trace([(16, 300), (16, 32)], gap_s=0.1,
                        priorities=[0, 5])
         metrics, records = TokenServingEngine(
-            num_instances=1, policy="priority", max_batch_size=1).run(trace)
+            cluster="1x2n", policy="priority", max_batch_size=1).run(trace)
         low, high = records
         assert metrics.preemptions >= 1
         assert low.preemptions >= 1
@@ -347,16 +329,16 @@ class TestTokenServingEngine:
         shapes = [(16, 400), (16, 400), (16, 16)]
         trace = _trace(shapes, gap_s=0.01)
         _, fifo_records = TokenServingEngine(
-            num_instances=1, policy="fifo", max_batch_size=1).run(trace)
+            cluster="1x2n", policy="fifo", max_batch_size=1).run(trace)
         _, sjf_records = TokenServingEngine(
-            num_instances=1, policy="sjf", max_batch_size=1).run(trace)
+            cluster="1x2n", policy="sjf", max_batch_size=1).run(trace)
         assert sjf_records[2].first_token_s < fifo_records[2].first_token_s
         # under SJF the short job overtakes the second long job
         assert sjf_records[2].finish_s < sjf_records[1].first_token_s
 
     def test_multi_tenant_priority_orders_ttft(self):
         trace = multi_tenant_trace(24, seed=2)
-        _, records = TokenServingEngine(num_instances=1, policy="priority",
+        _, records = TokenServingEngine(cluster="1x2n", policy="priority",
                                         max_batch_size=2).run(trace)
         mean_ttft = {}
         for record in records:
@@ -365,18 +347,9 @@ class TestTokenServingEngine:
         assert mean_ttft["interactive"] < mean_ttft["batch"]
         assert mean_ttft["interactive"] < mean_ttft["background"]
 
-    def test_simulator_policy_delegation(self):
-        trace = synthetic_trace(6, seed=1, mean_decode=48)
-        simulator = ServingSimulator(num_instances=1, policy="sjf",
-                                     max_batch_size=4)
-        metrics, records = simulator.run(trace)
-        assert metrics.policy == "sjf"
-        assert isinstance(records[0], ServedRequest)
-        assert metrics.ttfts_s
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            TokenServingEngine(num_instances=0)
+            TokenServingEngine(cluster="0x2n")
         with pytest.raises(ValueError):
             TokenServingEngine(max_batch_size=0)
         with pytest.raises(ValueError):
@@ -386,9 +359,26 @@ class TestTokenServingEngine:
         with pytest.raises(ValueError):
             TokenServingEngine(policy="lifo")
         with pytest.raises(ValueError):
+            TokenServingEngine(preemption_mode="discard")
+        with pytest.raises(ValueError):
             TokenServingEngine().run(RequestTrace())
         with pytest.raises(ValueError):
-            ServingSimulator(policy=FIFO_EXCLUSIVE, max_batch_size=4)
+            ServingSimulator(num_instances=0)
+        # SLO pins must be finite and non-negative; the error names the
+        # bad value (a NaN or negative pin would count zero SLO-good
+        # requests without complaint)
+        for bad, named in (((float("nan"), 0.05), "nan"),
+                           ((-1.0, 0.05), "-1.0"),
+                           ((2.0, float("inf")), "inf")):
+            with pytest.raises(ValueError, match=named):
+                TokenServingEngine(metrics_mode="streaming", slo=bad)
+        TokenServingEngine(metrics_mode="streaming", slo=(0.0, 0.0))
+        # the same rule guards after-the-fact SLO queries
+        metrics, _ = TokenServingEngine().run(_trace([(16, 8)]))
+        with pytest.raises(ValueError, match="nan"):
+            metrics.slo_attainment(float("nan"), 0.05)
+        with pytest.raises(ValueError, match="-0.5"):
+            metrics.slo_goodput_rps(1.0, -0.5)
 
     def test_run_policy_rejects_kv_budget_for_exclusive(self):
         from repro.analysis.serving import policy_comparison, run_policy
@@ -403,7 +393,7 @@ class TestTokenServingEngine:
 
     def test_metrics_slo_goodput(self):
         trace = synthetic_trace(8, seed=6, mean_decode=48)
-        metrics, _ = TokenServingEngine(num_instances=2).run(trace)
+        metrics, _ = TokenServingEngine(cluster="2x2n").run(trace)
         generous = metrics.slo_goodput_rps(1e9, 1e9)
         assert generous == pytest.approx(metrics.requests_per_second)
         assert metrics.slo_goodput_rps(0.0, 0.0) == 0.0
@@ -414,7 +404,7 @@ class TestTokenServingEngine:
         is None, the TPOT percentiles skip them instead of absorbing a 0.0,
         and they pass the TPOT SLO vacuously (only via slo_attainment)."""
         trace = _trace([(16, 1), (16, 1), (16, 1), (16, 40)], gap_s=0.05)
-        metrics, records = TokenServingEngine(num_instances=1, policy="fifo",
+        metrics, records = TokenServingEngine(cluster="1x2n", policy="fifo",
                                               max_batch_size=4).run(trace)
         assert [r.tpot_s is None for r in records] == [True, True, True, False]
         assert len(metrics.tpots_s) == len(metrics.ttfts_s) == 4

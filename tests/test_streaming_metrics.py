@@ -162,14 +162,14 @@ class TestStreamingVsFullParity:
             Request(request_id=r.request_id, arrival_s=r.arrival_s,
                     scenario=r.scenario, priority=i % 3)
             for i, r in enumerate(base.requests)])
-        full, stream = _run_both_modes(trace, num_instances=1,
+        full, stream = _run_both_modes(trace, cluster="1x2n",
                                        policy="priority", max_batch_size=2)
         _assert_counters_exact(full, stream)
         assert full.preemptions > 0
 
     def test_unpinned_slo_query_raises(self):
         trace = bursty_trace(50, seed=1)
-        engine = TokenServingEngine(num_instances=1,
+        engine = TokenServingEngine(cluster="1x2n",
                                     metrics_mode="streaming")
         metrics, _ = engine.run(trace)
         with pytest.raises(ValueError, match="pin"):
@@ -177,7 +177,7 @@ class TestStreamingVsFullParity:
 
     def test_mismatched_slo_query_raises(self):
         trace = bursty_trace(50, seed=1)
-        engine = TokenServingEngine(num_instances=1,
+        engine = TokenServingEngine(cluster="1x2n",
                                     metrics_mode="streaming",
                                     slo=(TTFT_SLO_S, TPOT_SLO_S))
         metrics, _ = engine.run(trace)
@@ -186,7 +186,7 @@ class TestStreamingVsFullParity:
 
     def test_slo_pin_requires_streaming_mode(self):
         with pytest.raises(ValueError, match="streaming"):
-            TokenServingEngine(num_instances=1,
+            TokenServingEngine(cluster="1x2n",
                                slo=(TTFT_SLO_S, TPOT_SLO_S))
 
 
@@ -234,7 +234,7 @@ class TestMergeAcrossShards:
 
         shards = [bursty_trace(2_000, seed=s, mean_prefill=48,
                                mean_decode=64) for s in (21, 22, 23)]
-        kwargs = dict(num_instances=2, max_batch_size=4)
+        kwargs = dict(cluster="2x2n", max_batch_size=4)
         parts, pooled_ttfts, pooled_latencies = [], [], []
         full_counts = {"num_requests": 0, "generated_tokens": 0,
                        "preemptions": 0}
@@ -270,7 +270,7 @@ class TestMergeAcrossShards:
 
         trace = bursty_trace(60, seed=2)
         engines = [
-            TokenServingEngine(num_instances=n, metrics_mode="streaming",
+            TokenServingEngine(cluster=f"{n}x2n", metrics_mode="streaming",
                                slo=(TTFT_SLO_S, TPOT_SLO_S))
             for n in (1, 2)
         ]
@@ -282,7 +282,7 @@ class TestMergeAcrossShards:
         from repro.serving.metrics import merge_streaming_metrics
 
         trace = bursty_trace(60, seed=2)
-        metrics, _ = TokenServingEngine(num_instances=1).run(trace)
+        metrics, _ = TokenServingEngine(cluster="1x2n").run(trace)
         with pytest.raises(ValueError):
             merge_streaming_metrics([metrics])
 
