@@ -92,13 +92,12 @@ def trace_study():
 def engine_study():
     """Token-level serving: continuous batching vs the exclusive FIFO queue
     on a bursty trace, plus a priority-scheduled multi-tenant trace."""
-    from repro.analysis.serving import policy_comparison, run_policy, tenant_breakdown
+    from repro.analysis.serving import compare, run_policy, tenant_breakdown
     from repro.workloads.traces import bursty_trace, multi_tenant_trace
 
     trace = bursty_trace(num_requests=32, seed=11, mean_prefill=48,
                          mean_decode=160, burst_size=8)
-    rows = policy_comparison(trace, policies=("fifo-exclusive", "fifo", "sjf"),
-                             num_instances=1, max_batch_size=8)
+    rows = compare(trace, "policy", num_instances=1, max_batch_size=8)
     print(format_table(rows, title="Bursty trace: whole-request FIFO vs "
                                    "token-level continuous batching"))
     print()
@@ -118,7 +117,7 @@ def paged_kv_study():
     budget: on-demand block allocation packs a larger running batch (and
     swap-based preemption keeps throughput) where worst-case reservations
     leave the batch half empty."""
-    from repro.analysis.serving import kv_mode_comparison
+    from repro.analysis.serving import compare
     from repro.memory.kv_cache import KVCacheLayout
     from repro.workloads.traces import bursty_trace
 
@@ -127,8 +126,8 @@ def paged_kv_study():
     budget = 640 * layout.bytes_per_token_per_node()
     trace = bursty_trace(num_requests=32, seed=11, mean_prefill=48,
                          mean_decode=160, burst_size=8)
-    rows = kv_mode_comparison(trace, budget, policy="fifo", num_instances=1,
-                              max_batch_size=8)
+    rows = compare(trace, "kv", kv_budget_bytes=budget, policy="fifo",
+                   num_instances=1, max_batch_size=8)
     print(format_table(
         rows, title=f"Bursty trace under a {budget / (1 << 20):.0f} MiB/node "
                     "KV budget: reservation vs paged admission"))

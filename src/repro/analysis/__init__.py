@@ -23,10 +23,10 @@ from repro.analysis.footprint import (
 )
 from repro.analysis.report import format_table, render_markdown_table
 from repro.analysis.serving import (
+    COMPARISONS,
     KV_MODES,
-    kv_mode_comparison,
+    compare,
     metrics_row,
-    policy_comparison,
     run_policy,
     tenant_breakdown,
 )
@@ -53,10 +53,10 @@ __all__ = [
     "summarize_gpu_comparison",
     "format_table",
     "render_markdown_table",
+    "COMPARISONS",
     "KV_MODES",
-    "kv_mode_comparison",
+    "compare",
     "metrics_row",
-    "policy_comparison",
     "run_policy",
     "tenant_breakdown",
     "ScalabilityRow",

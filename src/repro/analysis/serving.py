@@ -1,14 +1,17 @@
 """Serving-policy comparisons built on the token-level engine.
 
-These helpers run one trace through several serving configurations and lay
-the resulting :class:`~repro.serving.metrics.ServingMetrics` out as table
-rows for the ``serve`` CLI subcommand, the chatbot-serving example and the
-serving benchmarks.
+:func:`run_policy` serves a trace under one configuration; :func:`compare`
+runs one trace through the configurations of a named :data:`COMPARISONS`
+preset (over the sweep engine) and lays the resulting
+:class:`~repro.serving.metrics.ServingMetrics` out as table rows for the
+``serve`` CLI subcommand and the chatbot-serving example.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.serving.cluster import (
     ClusterSpec,
@@ -17,7 +20,9 @@ from repro.serving.cluster import (
     parse_cluster_spec,
 )
 from repro.serving.engine import PREFILL_MODES, ServedRequest, TokenServingEngine
+from repro.serving.metrics import ServingMetrics
 from repro.serving.simulator import FIFO_EXCLUSIVE, ServingSimulator
+from repro.serving.sweep import run_sweep
 from repro.workloads.traces import RequestTrace
 
 #: KV capacity regimes accepted by :func:`run_policy` and the serve CLI.
@@ -156,184 +161,10 @@ def metrics_row(label: str, metrics: ServingMetrics) -> Dict[str, object]:
     if metrics.kv_mode == "paged":
         row["KV occupancy"] = metrics.mean_kv_occupancy
         row["Swaps"] = metrics.swap_out_count
+    if metrics.kv_prefix_sharing:
+        row["Prefix hits"] = metrics.prefix_hits
+        row["Prefill tokens saved"] = metrics.prefill_tokens_saved
     return row
-
-
-def _sweep_metrics(trace: RequestTrace,
-                   labeled_configs: Sequence[Tuple[str, Dict[str, Any]]],
-                   workers: int) -> List[ServingMetrics]:
-    """Run labelled run_policy configurations through the sweep engine.
-
-    ``workers=1`` executes in-process in config order — byte-for-byte
-    the behavior of the old serial for-loops; larger values fan the
-    configs over a process pool (results stay in config order and
-    bit-identical to serial).  A failing config raises, preserving the
-    comparisons' fail-fast contract.
-    """
-    from repro.serving.sweep import SweepJob, run_jobs
-    jobs = [SweepJob(index=i, label=label, trace=trace, params=params)
-            for i, (label, params) in enumerate(labeled_configs)]
-    outcome = run_jobs(jobs, workers=workers, keep_metrics=True)
-    outcome.raise_failures()
-    return [r.metrics for r in outcome.results if r.metrics is not None]
-
-
-def policy_comparison(trace: RequestTrace,
-                      policies: Sequence[str] = (FIFO_EXCLUSIVE, "fifo", "sjf"),
-                      num_instances: int = 1,
-                      num_nodes_per_instance: int = 2,
-                      max_batch_size: int = 8,
-                      kv_budget_bytes: Optional[int] = None,
-                      kv_mode: str = "reserve",
-                      kv_block_size: int = 16,
-                      preemption_mode: str = "swap",
-                      workers: int = 1
-                      ) -> List[Dict[str, object]]:
-    """Serve the same trace under each policy and tabulate the summaries.
-
-    The KV options mirror :func:`run_policy` and apply to every token-level
-    row.  With a KV budget or paged mode, ``fifo-exclusive`` is excluded
-    (it has no admission control, so its row would not be comparable to the
-    constrained ones).  ``workers`` fans the rows over a process pool
-    (bit-identical to serial; see :mod:`repro.serving.sweep`).
-    """
-    if kv_budget_bytes is not None or kv_mode == "paged":
-        policies = [p for p in policies if p != FIFO_EXCLUSIVE]
-    configs = [(policy, dict(policy=policy, num_instances=num_instances,
-                             num_nodes_per_instance=num_nodes_per_instance,
-                             max_batch_size=max_batch_size,
-                             kv_budget_bytes=kv_budget_bytes,
-                             kv_mode=kv_mode, kv_block_size=kv_block_size,
-                             preemption_mode=preemption_mode))
-               for policy in policies]
-    return [metrics_row(label, metrics)
-            for (label, _), metrics
-            in zip(configs, _sweep_metrics(trace, configs, workers))]
-
-
-def kv_mode_comparison(trace: RequestTrace, kv_budget_bytes: int,
-                       policy: str = "fifo",
-                       num_instances: int = 1,
-                       num_nodes_per_instance: int = 2,
-                       max_batch_size: int = 8,
-                       kv_block_size: int = 16,
-                       preemption_mode: str = "swap",
-                       workers: int = 1
-                       ) -> List[Dict[str, object]]:
-    """Serve one trace under the same KV byte budget in reservation mode and
-    paged mode (plus paged/recompute when ``preemption_mode`` is ``swap``)
-    and tabulate the summaries side by side.
-
-    This is the comparison the paged subsystem exists to win: with identical
-    capacity, on-demand block allocation sustains a higher running batch than
-    worst-case reservations.
-    """
-    modes = [("reserve", "reserve", "swap"),
-             (f"paged/{preemption_mode}", "paged", preemption_mode)]
-    if preemption_mode == "swap":
-        modes.append(("paged/recompute", "paged", "recompute"))
-    configs = [(label, dict(policy=policy, num_instances=num_instances,
-                            num_nodes_per_instance=num_nodes_per_instance,
-                            max_batch_size=max_batch_size,
-                            kv_budget_bytes=kv_budget_bytes,
-                            kv_mode=kv_mode, kv_block_size=kv_block_size,
-                            preemption_mode=mode))
-               for label, kv_mode, mode in modes]
-    return [metrics_row(label, metrics)
-            for (label, _), metrics
-            in zip(configs, _sweep_metrics(trace, configs, workers))]
-
-
-def prefill_mode_comparison(trace: RequestTrace,
-                            policy: str = "fifo",
-                            num_instances: int = 1,
-                            num_nodes_per_instance: int = 2,
-                            max_batch_size: int = 8,
-                            mixed_step_token_budget: Optional[int] = None,
-                            kv_budget_bytes: Optional[int] = None,
-                            kv_mode: str = "reserve",
-                            kv_block_size: int = 16,
-                            preemption_mode: str = "swap",
-                            workers: int = 1
-                            ) -> List[Dict[str, object]]:
-    """Serve one trace under exclusive and mixed prefill and tabulate the
-    summaries side by side.
-
-    This is the comparison mixed steps exist to win: with prompts streaming
-    in alongside live decodes instead of stalling them, tail TTFT drops on
-    bursty traffic without giving up generated-token throughput (the
-    benchmark suite asserts it).  The KV options mirror :func:`run_policy`
-    and apply to both rows.
-    """
-    configs = [(prefill_mode,
-                dict(policy=policy, num_instances=num_instances,
-                     num_nodes_per_instance=num_nodes_per_instance,
-                     max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode=kv_mode, kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     mixed_step_token_budget=mixed_step_token_budget))
-               for prefill_mode in PREFILL_MODES]
-    rows = []
-    for (prefill_mode, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(prefill_mode, metrics)
-        # "stall" = pure-prefill steps, where no decode advances: the cost
-        # exclusive mode pays for every prompt and mixed mode only pays
-        # when nothing is decoding.  Mixed steps are reported separately —
-        # their duration is mostly decode work, so folding them into a
-        # prefill share would make the rows incomparable.
-        row["Prefill-stall share"] = metrics.prefill_time_share
-        row["Mixed-step share"] = metrics.mixed_time_share
-        row["Utilization"] = metrics.instance_utilization
-        rows.append(row)
-    return rows
-
-
-def router_comparison(trace: RequestTrace, instances: Union[str, ClusterSpec],
-                      routers: Sequence[str] = ROUTER_NAMES,
-                      policy: str = "fifo",
-                      max_batch_size: int = 8,
-                      kv_budget_bytes: Optional[int] = None,
-                      kv_mode: str = "reserve",
-                      kv_block_size: int = 16,
-                      preemption_mode: str = "swap",
-                      prefill_mode: str = "exclusive",
-                      swap_priority: bool = False,
-                      kv_prefix_sharing: bool = False,
-                      workers: int = 1
-                      ) -> List[Dict[str, object]]:
-    """Serve one trace on the same cluster under each router and tabulate
-    the summaries side by side.
-
-    This is the comparison the routing layer exists to win: on a
-    heterogeneous pool, placement-aware routers (``kv_aware``,
-    ``class_affinity``) should beat shape-blind rotation on tail TTFT.  On
-    a single-class pool every row is identical by construction — a useful
-    smoke check that routing never costs anything when there is nothing to
-    decide.
-    """
-    configs = [(router,
-                dict(policy=policy, instances=instances,
-                     router=router, max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode=kv_mode, kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     swap_priority=swap_priority,
-                     kv_prefix_sharing=kv_prefix_sharing))
-               for router in routers]
-    rows = []
-    for (router, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(router, metrics)
-        row["P95 TTFT (s)"] = metrics.ttft_percentile_s(0.95)
-        if kv_prefix_sharing:
-            row["Prefix hits"] = metrics.prefix_hits
-            row["Prefill tokens saved"] = metrics.prefill_tokens_saved
-        rows.append(row)
-    return rows
 
 
 def strip_roles(spec: Union[str, ClusterSpec]) -> ClusterSpec:
@@ -349,64 +180,150 @@ def strip_roles(spec: Union[str, ClusterSpec]) -> ClusterSpec:
         for s in spec.specs))
 
 
-def disaggregation_comparison(trace: RequestTrace,
-                              instances: Union[str, ClusterSpec],
-                              policy: str = "fifo",
-                              max_batch_size: int = 8,
-                              kv_budget_bytes: Optional[int] = None,
-                              kv_block_size: int = 16,
-                              preemption_mode: str = "swap",
-                              prefill_mode: str = "exclusive",
-                              mixed_step_token_budget: Optional[int] = None,
-                              router: str = "disaggregated",
-                              colocated_router: str = "least_loaded",
-                              workers: int = 1
-                              ) -> List[Dict[str, object]]:
-    """Serve one trace on a disaggregated cluster and on its colocated
-    twin (same instances, roles stripped) and tabulate the summaries.
+#: A preset's rows: ``(label, run_policy overrides)`` per config.
+Configs = List[Tuple[str, Dict[str, Any]]]
 
-    This is the comparison disaggregation exists to win: with prefill
-    quarantined on the prefill class, the decode instances' steps are never
-    stalled by a prompt streaming in, so tail TPOT drops — at the price of
-    one priced KV handoff per request.  Both rows run paged KV (the
-    handoff *is* a block-table move) under the same budget and block size.
 
-    ``instances`` must be a role-tagged spec (e.g.
-    ``"1x4n:prefill,4x1n:decode"``); raises ``ValueError`` otherwise.
-    """
-    if isinstance(instances, str):
-        instances = parse_cluster_spec(instances)
-    if not instances.has_roles:
+def _policy_configs(base: Mapping[str, Any]) -> Configs:
+    # fifo-exclusive has no KV admission control, so its row would not be
+    # comparable to the constrained ones
+    policies = [FIFO_EXCLUSIVE, "fifo", "sjf"]
+    if (base.get("kv_budget_bytes") is not None
+            or base.get("kv_mode") == "paged"):
+        policies.remove(FIFO_EXCLUSIVE)
+    return [(policy, {"policy": policy}) for policy in policies]
+
+
+def _kv_configs(base: Mapping[str, Any]) -> Configs:
+    if base.get("kv_budget_bytes") is None:
         raise ValueError(
-            f"cluster {instances} has no prefill/decode roles; "
-            "disaggregation_comparison compares a role-tagged cluster "
-            "against its colocated twin")
-    colocated = strip_roles(instances)
-    pairs = [
-        (f"disaggregated ({instances})", instances, router),
-        (f"colocated ({colocated})", colocated, colocated_router),
-    ]
-    configs = [(label,
-                dict(policy=policy, instances=spec,
-                     router=spec_router,
-                     max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode="paged",
-                     kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     mixed_step_token_budget=mixed_step_token_budget))
-               for label, spec, spec_router in pairs]
-    rows = []
-    for (label, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(label, metrics)
-        row["P95 TPOT (s)"] = metrics.tpot_percentile_s(0.95)
-        row["P99 TPOT (s)"] = metrics.tpot_percentile_s(0.99)
-        row["Handoffs"] = metrics.handoff_count
-        row["Handoff time (s)"] = metrics.handoff_time_s
-        rows.append(row)
-    return rows
+            "the kv comparison needs a KV budget (kv_budget_bytes, "
+            "--kv-budget-mib): the same budget is applied to both KV modes")
+    preemption = base.get("preemption_mode", "swap")
+    modes = [("reserve", "reserve", "swap"),
+             (f"paged/{preemption}", "paged", preemption)]
+    if preemption == "swap":
+        modes.append(("paged/recompute", "paged", "recompute"))
+    return [(label, {"kv_mode": kv_mode, "preemption_mode": mode})
+            for label, kv_mode, mode in modes]
+
+
+def _prefill_configs(base: Mapping[str, Any]) -> Configs:
+    return [(mode, {"prefill_mode": mode}) for mode in PREFILL_MODES]
+
+
+def _prefill_columns(metrics: ServingMetrics) -> Dict[str, object]:
+    # "stall" = pure-prefill steps, where no decode advances: the cost
+    # exclusive mode pays for every prompt and mixed mode only pays when
+    # nothing is decoding.  Mixed steps are reported separately — their
+    # duration is mostly decode work, so folding them into a prefill share
+    # would make the rows incomparable.
+    return {"Prefill-stall share": metrics.prefill_time_share,
+            "Mixed-step share": metrics.mixed_time_share,
+            "Utilization": metrics.instance_utilization}
+
+
+def _router_configs(base: Mapping[str, Any]) -> Configs:
+    return [(router, {"router": router}) for router in ROUTER_NAMES]
+
+
+def _disaggregation_configs(base: Mapping[str, Any]) -> Configs:
+    # both rows run paged KV: the handoff *is* a block-table move
+    spec = base.get("instances")
+    if isinstance(spec, str):
+        spec = parse_cluster_spec(spec)
+    if spec is None or not spec.has_roles:
+        raise ValueError(
+            "the disaggregation comparison pits a role-tagged cluster spec "
+            "like '1x4n:prefill,4x1n:decode' against its colocated twin; "
+            f"{spec or 'a plain instance count'} has no prefill/decode roles")
+    colocated = strip_roles(spec)
+    return [(f"disaggregated ({spec})",
+             {"instances": spec, "router": "disaggregated",
+              "kv_mode": "paged"}),
+            (f"colocated ({colocated})",
+             {"instances": colocated, "router": "least_loaded",
+              "kv_mode": "paged"})]
+
+
+def _disaggregation_columns(metrics: ServingMetrics) -> Dict[str, object]:
+    return {"P95 TPOT (s)": metrics.tpot_percentile_s(0.95),
+            "P99 TPOT (s)": metrics.tpot_percentile_s(0.99),
+            "Handoffs": metrics.handoff_count,
+            "Handoff time (s)": metrics.handoff_time_s}
+
+
+def _no_columns(metrics: ServingMetrics) -> Dict[str, object]:
+    return {}
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """One preset of :data:`COMPARISONS`.
+
+    ``configs`` maps the base :func:`run_policy` kwargs to the configs to
+    run (a base the preset cannot compare raises ``ValueError``);
+    ``columns`` adds the preset's own columns to each :func:`metrics_row`.
+    """
+
+    title: str
+    configs: Callable[[Mapping[str, Any]], Configs]
+    columns: Callable[[ServingMetrics], Dict[str, object]] = _no_columns
+
+
+#: The named comparisons :func:`compare` runs (``serve --compare NAME``).
+#: Each pits one trace against the configs a serving mechanism exists to
+#: beat: continuous batching vs whole-request FIFO (``policy``; the
+#: fifo-exclusive row is omitted under a KV budget or paged KV, which it
+#: cannot model); on-demand paged KV vs worst-case reservations under one
+#: budget (``kv``, higher running batch); mixed vs exclusive prefill
+#: (``prefill``, lower tail TTFT on bursty traffic); placement-aware vs
+#: shape-blind routers on a heterogeneous pool (``router``; on a
+#: single-class pool every row is identical by construction); and a
+#: disaggregated cluster vs its colocated twin (``disaggregation``, lower
+#: tail TPOT for one priced KV handoff per request).
+COMPARISONS: Dict[str, Comparison] = {
+    "policy": Comparison("policy comparison", _policy_configs),
+    "kv": Comparison("reservation vs paged KV", _kv_configs),
+    "prefill": Comparison("exclusive vs mixed prefill", _prefill_configs,
+                          columns=_prefill_columns),
+    "router": Comparison("router comparison", _router_configs),
+    "disaggregation": Comparison("disaggregated vs colocated",
+                                 _disaggregation_configs,
+                                 columns=_disaggregation_columns),
+}
+
+
+def compare(trace: RequestTrace, name: str, *, workers: int = 1,
+            **run_policy_kwargs: Any) -> List[Dict[str, object]]:
+    """Serve ``trace`` under every config of the :data:`COMPARISONS`
+    preset ``name`` and tabulate one :func:`metrics_row` per config.
+
+    ``run_policy_kwargs`` is the base configuration shared by every row
+    (``policy`` defaults to ``"fifo"``); the preset's axis overrides the
+    matching keys.  The configs run through
+    :func:`repro.serving.sweep.run_sweep`: ``workers`` fans them over a
+    process pool, with rows bit-identical to ``workers=1``.  A config that
+    fails validation re-raises its ``ValueError`` with the original
+    message; any other failure raises ``RuntimeError``.
+    """
+    if name not in COMPARISONS:
+        raise ValueError(f"unknown comparison {name!r}; known: "
+                         f"{', '.join(COMPARISONS)}")
+    preset = COMPARISONS[name]
+    base = dict(run_policy_kwargs)
+    base.setdefault("policy", "fifo")
+    configs = [dict(overrides, label=label)
+               for label, overrides in preset.configs(base)]
+    outcome = run_sweep({"trace": trace, "base": base, "configs": configs},
+                        workers=workers, keep_metrics=True)
+    first = next((r.failure for r in outcome.results
+                  if r.failure is not None), None)
+    if first is not None and first.error_type == "ValueError":
+        raise ValueError(first.message)
+    outcome.raise_failures()
+    return [dict(metrics_row(r.label, r.metrics), **preset.columns(r.metrics))
+            for r in outcome.results if r.metrics is not None]
 
 
 def class_breakdown(metrics: ServingMetrics) -> List[Dict[str, object]]:

@@ -11,13 +11,13 @@ Usage (after ``pip install -e .`` or with ``PYTHONPATH=src``)::
     python -m repro.cli utilization               # Fig. 3 style area-utilization
     python -m repro.cli serve --trace bursty --policy fifo   # token-level serving
     python -m repro.cli serve --kv-mode paged --kv-budget-mib 32 --trace bursty
-    python -m repro.cli serve --compare-kv --kv-budget-mib 32 --trace bursty
+    python -m repro.cli serve --compare kv --kv-budget-mib 32 --trace bursty
     python -m repro.cli serve --prefill-mode mixed --trace bursty
-    python -m repro.cli serve --compare-prefill --trace bursty
+    python -m repro.cli serve --compare prefill --trace bursty
     python -m repro.cli serve --instances 2x1n,1x2n --router class_affinity
-    python -m repro.cli serve --instances 2x1n,1x2n --compare-router
+    python -m repro.cli serve --instances 2x1n,1x2n --compare router
     python -m repro.cli serve --instances 1x4n:prefill,4x1n:decode --router disaggregated --kv-mode paged
-    python -m repro.cli serve --instances 1x4n:prefill,4x1n:decode --kv-mode paged --compare-disaggregation
+    python -m repro.cli serve --instances 1x4n:prefill,4x1n:decode --compare disaggregation
     python -m repro.cli serve --trace multiturn --kv-mode paged --kv-prefix-sharing --instances 2x1n,2x2n --router prefix_aware
     python -m repro.cli serve --trace-file trace.csv --policy sjf
     python -m repro.cli serve --trace bursty --metrics-mode streaming
@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.breakdown import latency_breakdown
 from repro.analysis.report import format_table
 from repro.analysis.scalability import throughput_table
+from repro.analysis.serving import (COMPARISONS, class_breakdown, compare,
+                                    run_policy, tenant_breakdown)
 from repro.analysis.utilization import architecture_comparison
 from repro.baselines.gpu_a100 import A100Model
 from repro.core.multi_node import LoopLynxSystem
@@ -119,13 +121,6 @@ def _cmd_utilization(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.serving import (class_breakdown,
-                                        disaggregation_comparison,
-                                        kv_mode_comparison,
-                                        policy_comparison,
-                                        prefill_mode_comparison,
-                                        router_comparison, run_policy,
-                                        tenant_breakdown)
     from repro.serving.cluster import parse_cluster_spec
     from repro.workloads.traces import (bursty_trace, multi_tenant_trace,
                                         multi_turn_trace, replay_trace,
@@ -163,163 +158,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_instances = cluster_spec.num_instances
         pool_label = (f"cluster {cluster_spec} "
                       f"({cluster_spec.total_nodes} nodes)")
-    kv_budget = (None if args.kv_budget_mib is None
-                 else args.kv_budget_mib * (1 << 20))
     title = f"Serving {len(trace)} {trace_label} requests on {pool_label}"
-    cluster_kwargs = dict(instances=cluster_spec, router=args.router,
-                          swap_priority=args.swap_priority,
-                          kv_prefix_sharing=args.kv_prefix_sharing)
+    # one configuration for the single run and for every comparison row
+    # (a --compare preset overrides only its own axis)
+    kwargs: Dict[str, Any] = dict(
+        policy=args.policy, num_instances=num_instances,
+        num_nodes_per_instance=args.nodes, instances=cluster_spec,
+        router=args.router, max_batch_size=args.max_batch,
+        kv_budget_bytes=(None if args.kv_budget_mib is None
+                         else args.kv_budget_mib * (1 << 20)),
+        kv_mode=args.kv_mode, kv_block_size=args.kv_block_size,
+        kv_prefix_sharing=args.kv_prefix_sharing,
+        preemption_mode=args.preemption_mode,
+        swap_priority=args.swap_priority,
+        prefill_mode=args.prefill_mode,
+        mixed_step_token_budget=args.mixed_step_token_budget)
+    if args.metrics_mode != "full":
+        # streaming runs count SLO attainment online, so the SLO pair
+        # must be pinned before the run rather than queried after it
+        kwargs.update(metrics_mode=args.metrics_mode,
+                      slo=(args.ttft_slo, args.tpot_slo))
+    if args.sanitize:
+        kwargs["sanitize"] = True
+    if args.pricing_cache is not None:
+        kwargs["pricing_cache"] = args.pricing_cache
     try:
-        if args.metrics_mode != "full" and (
-                args.compare or args.compare_kv or args.compare_prefill
-                or args.compare_router or args.compare_disaggregation):
-            print("serve: the comparison tables keep full-fidelity metrics; "
-                  "drop --metrics-mode or run a single configuration",
-                  file=sys.stderr)
-            return 2
-        if args.compare_disaggregation:
-            if cluster_spec is None or not cluster_spec.has_roles:
-                print("serve: --compare-disaggregation needs a role-tagged "
-                      "--instances spec like '1x4n:prefill,4x1n:decode'",
-                      file=sys.stderr)
-                return 2
-            if args.kv_mode != "paged":
-                print("serve: disaggregation hands off paged KV block "
-                      "tables; add --kv-mode paged", file=sys.stderr)
-                return 2
-            if args.swap_priority or args.kv_prefix_sharing:
-                print("serve: --swap-priority/--kv-prefix-sharing are not "
-                      "threaded through this comparison table; drop them "
-                      "or run a single configuration", file=sys.stderr)
-                return 2
-            if args.router not in ("round_robin", "disaggregated"):
-                # (round_robin is the argparse default, i.e. unset)
-                print("serve: --compare-disaggregation always pits the "
-                      "disaggregated router against a least_loaded "
-                      "colocated twin; drop --router or run a single "
-                      "configuration", file=sys.stderr)
-                return 2
-            rows = disaggregation_comparison(
-                trace, cluster_spec, policy=args.policy,
-                max_batch_size=args.max_batch,
-                kv_budget_bytes=kv_budget,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                prefill_mode=args.prefill_mode,
-                mixed_step_token_budget=args.mixed_step_token_budget,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — disaggregated vs colocated"))
-            return 0
-        if args.compare_router:
-            if cluster_spec is None:
-                cluster_spec = parse_cluster_spec(
-                    f"{num_instances}x{args.nodes}n")
-            rows = router_comparison(
-                trace, cluster_spec, policy=args.policy,
-                max_batch_size=args.max_batch,
-                kv_budget_bytes=kv_budget, kv_mode=args.kv_mode,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                prefill_mode=args.prefill_mode,
-                swap_priority=args.swap_priority,
-                kv_prefix_sharing=args.kv_prefix_sharing,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — router comparison"))
-            if not cluster_spec.is_heterogeneous:
-                print("\n(single-class cluster: every router produces "
-                      "identical results by construction)")
-            return 0
-        if args.compare_prefill or args.compare_kv or args.compare:
-            if cluster_spec is not None:
-                print("serve: --compare/--compare-kv/--compare-prefill "
-                      "tabulate homogeneous pools; use --compare-router "
-                      "for cluster specs", file=sys.stderr)
-                return 2
-            if args.swap_priority or args.kv_prefix_sharing:
-                print("serve: --swap-priority/--kv-prefix-sharing are not "
-                      "threaded through these comparison tables; drop them "
-                      "or run a single configuration", file=sys.stderr)
-                return 2
-        if args.compare_prefill:
-            if args.policy == "fifo-exclusive":
-                print("serve: --compare-prefill needs a token-level policy "
-                      "(fifo-exclusive serves whole requests)", file=sys.stderr)
-                return 2
-            rows = prefill_mode_comparison(
-                trace, policy=args.policy,
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch,
-                mixed_step_token_budget=args.mixed_step_token_budget,
-                kv_budget_bytes=kv_budget,
-                kv_mode=args.kv_mode,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — exclusive vs mixed prefill "
-                            f"(budget {args.mixed_step_token_budget} tok/step)"))
-            return 0
-        if args.compare_kv:
-            if kv_budget is None:
-                print("serve: --compare-kv needs --kv-budget-mib (the same "
-                      "budget is applied to both KV modes)", file=sys.stderr)
-                return 2
-            rows = kv_mode_comparison(
-                trace, kv_budget, policy=args.policy,
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — reservation vs paged KV "
-                            f"({args.kv_budget_mib} MiB/node)"))
-            return 0
-        if args.compare:
-            rows = policy_comparison(
-                trace, policies=("fifo-exclusive", "fifo", "sjf"),
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch, kv_budget_bytes=kv_budget,
-                kv_mode=args.kv_mode, kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — policy comparison "
-                            f"(KV {args.kv_mode})"))
-            if kv_budget is not None or args.kv_mode == "paged":
-                print("\n(fifo-exclusive omitted: it has no KV admission "
-                      "control to constrain)")
-            return 0
-        metrics_kwargs = {}
-        if args.metrics_mode != "full":
-            # streaming runs count SLO attainment online, so the SLO pair
-            # must be pinned before the run rather than queried after it
-            metrics_kwargs = dict(metrics_mode=args.metrics_mode,
-                                  slo=(args.ttft_slo, args.tpot_slo))
-        sanitize_kwargs = {"sanitize": True} if args.sanitize else {}
-        if (args.pricing_cache is not None
-                and args.policy != "fifo-exclusive"):
-            sanitize_kwargs = dict(sanitize_kwargs,
-                                   pricing_cache=args.pricing_cache)
-        metrics, records = run_policy(
-            trace, args.policy, num_instances=num_instances,
-            num_nodes_per_instance=args.nodes, max_batch_size=args.max_batch,
-            kv_budget_bytes=kv_budget, kv_mode=args.kv_mode,
-            kv_block_size=args.kv_block_size,
-            preemption_mode=args.preemption_mode,
-            prefill_mode=args.prefill_mode,
-            mixed_step_token_budget=args.mixed_step_token_budget,
-            **sanitize_kwargs,
-            **metrics_kwargs,
-            **cluster_kwargs)
+        if args.compare is not None:
+            rows = compare(trace, args.compare, workers=args.workers,
+                           **kwargs)
+        else:
+            metrics, records = run_policy(trace, **kwargs)
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
+    if args.compare is not None:
+        print(format_table(
+            rows, title=f"{title} — {COMPARISONS[args.compare].title}"))
+        return 0
     rows = [{"Metric": name, "Value": value}
             for name, value in metrics.summary().items()]
     print(format_table(rows, title=f"{title} — policy {args.policy!r}, "
@@ -558,24 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TTFT SLO in seconds for goodput reporting")
     sub.add_argument("--tpot-slo", type=float, default=0.05,
                      help="TPOT SLO in seconds for goodput reporting")
-    sub.add_argument("--compare", action="store_true",
-                     help="tabulate fifo-exclusive vs fifo vs sjf instead")
-    sub.add_argument("--compare-kv", action="store_true",
-                     help="tabulate reservation vs paged KV under the same "
-                          "budget instead (needs --kv-budget-mib)")
-    sub.add_argument("--compare-prefill", action="store_true",
-                     help="tabulate exclusive vs mixed prefill under the "
-                          "same configuration instead")
-    sub.add_argument("--compare-router", action="store_true",
-                     help="tabulate every cluster router on the same pool "
-                          "instead (most interesting with a heterogeneous "
-                          "--instances spec)")
-    sub.add_argument("--compare-disaggregation", action="store_true",
-                     help="tabulate a role-tagged --instances spec against "
-                          "its colocated twin (same hardware, roles "
-                          "stripped) instead; needs --kv-mode paged")
+    sub.add_argument("--compare", choices=tuple(COMPARISONS), default=None,
+                     help="tabulate a comparison preset instead of one run: "
+                          "policy (fifo-exclusive vs fifo vs sjf), kv "
+                          "(reservation vs paged KV under --kv-budget-mib), "
+                          "prefill (exclusive vs mixed), router (every "
+                          "cluster router), disaggregation (a role-tagged "
+                          "--instances spec vs its colocated twin); the "
+                          "preset's axis overrides the matching flag, every "
+                          "other flag applies to every row")
     sub.add_argument("--workers", type=int, default=1,
-                     help="process-pool workers for the --compare-* tables "
+                     help="process-pool workers for the --compare table "
                           "(1 = in-process; results are bit-identical "
                           "either way)")
     sub.add_argument("--pricing-cache", default=None, metavar="DIR",

@@ -1,11 +1,12 @@
 """Parallel configuration sweeps over the serving simulator.
 
-Every multi-config surface in the repo — the ``--compare-*`` CLI paths,
-the benchmark grids, the capacity-planning studies — boils down to the
-same shape: *run the same trace through N engine configurations and
-compare the metrics*.  The configurations are independent, so the
-sweep is embarrassingly parallel; this module is the one place that
-knows how to fan it out safely.
+Every multi-config surface in the repo — the ``serve --compare NAME``
+presets (:func:`repro.analysis.serving.compare`), the benchmark grids,
+the capacity-planning studies — boils down to the same shape: *run the
+same trace through N engine configurations and compare the metrics*.
+The configurations are independent, so the sweep is embarrassingly
+parallel; this module is the one place that knows how to fan it out
+safely.
 
 The pieces:
 

@@ -18,8 +18,8 @@ import pytest
 
 from repro.analysis.serving import (
     class_breakdown,
+    compare,
     instance_breakdown,
-    router_comparison,
     run_policy,
 )
 from repro.core.multi_node import LoopLynxSystem
@@ -447,7 +447,7 @@ class TestPerClassMetrics:
 
     def test_router_comparison_single_class_rows_agree(self):
         trace = bursty_trace(12, seed=4, mean_prefill=32, mean_decode=64)
-        rows = router_comparison(trace, "2x2n")
+        rows = compare(trace, "router", instances="2x2n")
         assert [row["Policy"] for row in rows] == list(ROUTER_NAMES)
         # single class: every router's row is identical by construction
         first = {k: v for k, v in rows[0].items() if k != "Policy"}

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.serving import (
     class_breakdown,
-    disaggregation_comparison,
+    compare,
     run_policy,
     strip_roles,
 )
@@ -443,7 +443,7 @@ class TestHandoffConservation:
 class TestDisaggregationComparison:
     def test_comparison_rows(self):
         trace = _trace(12, seed=5)
-        rows = disaggregation_comparison(trace, DISAGG)
+        rows = compare(trace, "disaggregation", instances=DISAGG)
         assert len(rows) == 2
         assert rows[0]["Policy"].startswith("disaggregated")
         assert rows[1]["Policy"].startswith("colocated")
@@ -453,7 +453,7 @@ class TestDisaggregationComparison:
 
     def test_comparison_rejects_roleless_specs(self):
         with pytest.raises(ValueError, match="role"):
-            disaggregation_comparison(_trace(8), "1x2n,2x1n")
+            compare(_trace(8), "disaggregation", instances="1x2n,2x1n")
 
     def test_strip_roles_keeps_the_hardware(self):
         spec = parse_cluster_spec("1x4n@32MiB:prefill,4x1n:decode")

@@ -3,10 +3,11 @@
 Two layers, mirroring what the CI docs job runs:
 
 * the Python snippets are doctests (``python -m doctest docs/serving.md``);
-* every CLI command documented in a ```bash fence is smoke-run in-process
-  through :func:`repro.cli.main`, with ``--requests 6`` appended so the
-  documented flags are exercised on a tiny trace (argparse lets a later
-  occurrence of an option override an earlier one).
+* every ``serve``/``sweep`` command documented in a ```bash fence (of
+  the serving docs and the README) is smoke-run in-process through
+  :func:`repro.cli.main`, with ``--requests 6`` appended so the documented
+  flags are exercised on a tiny trace (argparse lets a later occurrence of
+  an option override an earlier one).
 
 A documented command that stops parsing, raises, or exits non-zero fails
 the suite — broken examples cannot ship.
@@ -29,16 +30,20 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _documented_cli_commands():
-    """CLI invocations inside ```bash fences of the serving-facing docs."""
+    """``serve``/``sweep`` invocations inside ```bash fences of the
+    serving-facing docs and the README (whose other fences document the
+    paper-artifact subcommands)."""
     commands = []
-    for doc in (SERVING_MD, PERFORMANCE_MD):
+    for doc in (SERVING_MD, PERFORMANCE_MD, README):
         text = doc.read_text()
         for fence in re.findall(r"```bash\n(.*?)```", text, flags=re.DOTALL):
             for line in fence.splitlines():
                 line = line.strip()
                 if line.startswith("PYTHONPATH=src python -m repro.cli"):
-                    argv = shlex.split(line)[3:]  # drop env + python -m ...
-                    commands.append(argv[1:])     # drop the module path
+                    # drop "PYTHONPATH=src python -m repro.cli"
+                    argv = shlex.split(line, comments=True)[4:]
+                    if doc is not README or argv[0] in ("serve", "sweep"):
+                        commands.append(argv)
     return commands
 
 
@@ -71,12 +76,13 @@ def test_serving_md_doctests():
 def test_serving_md_documents_every_serve_surface():
     text = SERVING_MD.read_text()
     for flag in ("--kv-mode", "--kv-block-size", "--preemption-mode",
-                 "--kv-budget-mib", "--compare-kv", "--policy", "--trace",
+                 "--kv-budget-mib", "--policy", "--trace",
                  "--prefill-mode", "--mixed-step-token-budget",
-                 "--compare-prefill", "--instances", "--router",
-                 "--compare-router", "--trace-file", "--swap-priority",
-                 "--compare-disaggregation", "--workers",
-                 "--pricing-cache", "--grid"):
+                 "--instances", "--router", "--trace-file",
+                 "--swap-priority", "--workers", "--pricing-cache",
+                 "--grid", "--compare policy", "--compare kv",
+                 "--compare prefill", "--compare router",
+                 "--compare disaggregation"):
         assert flag in text, f"docs/serving.md must document {flag}"
 
 

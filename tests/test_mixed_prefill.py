@@ -12,7 +12,7 @@ properties under preemption in both paged modes.
 
 import pytest
 
-from repro.analysis.serving import prefill_mode_comparison, run_policy
+from repro.analysis.serving import compare, run_policy
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.serving.engine import TokenServingEngine
@@ -222,8 +222,8 @@ class TestMixedMode:
             run_policy(trace, "fifo-exclusive", prefill_mode="mixed")
 
     def test_prefill_mode_comparison_rows(self):
-        rows = prefill_mode_comparison(_bursty16(), policy="fifo",
-                                       mixed_step_token_budget=128)
+        rows = compare(_bursty16(), "prefill", policy="fifo",
+                       mixed_step_token_budget=128)
         assert [row["Policy"] for row in rows] == ["exclusive", "mixed"]
         for row in rows:
             assert 0.0 <= row["Utilization"] <= 1.0

@@ -381,15 +381,14 @@ class TestTokenServingEngine:
             metrics.slo_goodput_rps(1.0, -0.5)
 
     def test_run_policy_rejects_kv_budget_for_exclusive(self):
-        from repro.analysis.serving import policy_comparison, run_policy
+        from repro.analysis.serving import compare, run_policy
 
         trace = synthetic_trace(4, seed=1, mean_decode=32)
         with pytest.raises(ValueError):
             run_policy(trace, FIFO_EXCLUSIVE, kv_budget_bytes=1 << 30)
         # comparison drops the exclusive row instead of mixing regimes
-        rows = policy_comparison(trace, policies=(FIFO_EXCLUSIVE, "fifo"),
-                                 kv_budget_bytes=1 << 30)
-        assert [row["Policy"] for row in rows] == ["fifo"]
+        rows = compare(trace, "policy", kv_budget_bytes=1 << 30)
+        assert [row["Policy"] for row in rows] == ["fifo", "sjf"]
 
     def test_metrics_slo_goodput(self):
         trace = synthetic_trace(8, seed=6, mean_decode=48)

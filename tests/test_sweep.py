@@ -158,23 +158,26 @@ class TestCrashIsolation:
 
 
 class TestComparisonsThroughTheSweep:
-    """The analysis comparison helpers route through run_jobs; parallel
-    workers must not change a single row."""
+    """Every comparison preset routes through run_sweep; parallel workers
+    must not change a single row."""
 
-    @pytest.mark.parametrize("helper_kwargs", [
-        ("policy_comparison", dict(policies=("fifo", "sjf"))),
-        ("router_comparison", dict(instances="1x2n,1x4n",
-                                   routers=("round_robin", "least_loaded"))),
-        ("prefill_mode_comparison", dict(num_instances=2)),
-    ], ids=["policy", "router", "prefill"])
-    def test_rows_identical_at_workers_2(self, helper_kwargs):
-        from repro.analysis import serving as analysis
-        name, kwargs = helper_kwargs
-        helper = getattr(analysis, name)
+    @pytest.mark.parametrize("name, kwargs", [
+        ("policy", {}),
+        ("router", dict(instances="1x2n,1x4n")),
+        ("prefill", dict(num_instances=2)),
+        ("kv", dict(kv_budget_bytes=32 << 20)),
+        ("disaggregation", dict(instances="1x2n:prefill,2x1n:decode",
+                                kv_mode="paged")),
+    ], ids=["policy", "router", "prefill", "kv", "disaggregation"])
+    def test_rows_identical_at_workers_2(self, name, kwargs):
+        from repro.analysis.serving import compare
         trace = RequestTrace(requests=list(bursty_trace(
             150, seed=4, mean_prefill=40, mean_decode=64)))
-        rows_serial = helper(trace, max_batch_size=4, workers=1, **kwargs)
-        rows_pooled = helper(trace, max_batch_size=4, workers=2, **kwargs)
+        rows_serial = compare(trace, name, max_batch_size=4, workers=1,
+                              **kwargs)
+        rows_pooled = compare(trace, name, max_batch_size=4, workers=2,
+                              **kwargs)
+        assert len(rows_serial) >= 2
         assert rows_pooled == rows_serial
 
 

@@ -186,7 +186,7 @@ class TestCli:
 
     def test_serve_command_compare_mode(self, capsys):
         assert main(["serve", "--trace", "steady", "--requests", "10",
-                     "--compare"]) == 0
+                     "--compare", "policy"]) == 0
         out = capsys.readouterr().out
         assert "fifo-exclusive" in out
         assert "sjf" in out
@@ -222,15 +222,33 @@ class TestCli:
 
     def test_serve_command_compare_prefill(self, capsys):
         assert main(["serve", "--trace", "bursty", "--requests", "10",
-                     "--compare-prefill"]) == 0
+                     "--compare", "prefill"]) == 0
         out = capsys.readouterr().out
         assert "exclusive vs mixed prefill" in out
         assert "P95 TTFT" in out
 
     def test_serve_command_compare_prefill_rejects_exclusive_policy(self, capsys):
         assert main(["serve", "--trace", "bursty", "--requests", "6",
-                     "--policy", "fifo-exclusive", "--compare-prefill"]) == 2
+                     "--policy", "fifo-exclusive", "--compare", "prefill"]) == 2
         assert "token-level policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--compare", "kv"], "needs a KV budget"),
+        (["--compare", "kv", "--kv-budget-mib", "1"], "needs 307 cached tokens"),
+        (["--compare", "disaggregation", "--instances", "2x1n,1x2n"],
+         "no prefill/decode roles"),
+    ], ids=["kv-without-budget", "kv-budget-too-small",
+            "disaggregation-without-roles"])
+    def test_serve_command_compare_errors_exit_2(self, flags, message,
+                                                 capsys):
+        """A comparison that cannot run, or whose config fails validation,
+        exits 2 with a one-line ``serve:`` message, not a traceback."""
+        assert main(["serve", "--trace", "steady", "--requests", "8"]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ")
+        assert message in err
+        assert "Traceback" not in err
 
     def test_parser_structure(self):
         parser = build_parser()
