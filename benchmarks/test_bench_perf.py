@@ -30,6 +30,10 @@ committed floors are trusted as-is.
 Scales: the 100k replay always runs; the 1M replay is opt-in via
 ``RUN_PERF_1M=1`` (it takes ~a minute per mode).
 
+``test_paged_fold_event_ceiling`` pins the exact number of events a
+small paged replay posts, so paged fast-forward folding cannot switch off
+silently (it would multiply the count by ~13).
+
 This file also measures the two parallel-path features of the sweep
 engine (see ``repro/serving/sweep.py``):
 
@@ -77,6 +81,12 @@ THROUGHPUT_FLOOR_X = 2.0
 #: Streaming mode must hold peak RSS far below full mode at scale; the
 #: committed 1M numbers are ~70 MiB vs ~730 MiB.
 STREAMING_RSS_CEILING_FRACTION = 0.75
+
+#: Requests of the pinned trace the paged fold gate replays, and the exact
+#: number of step events folding posts for them on the pinned pool with
+#: paged KV (the per-step loop posts 134,899 — 67.4 per request).
+PAGED_FOLD_REQUESTS = 2_000
+PAGED_FOLD_EVENTS_CEILING = 10_605
 
 #: Sweep-scaling requirement from the perf trajectory: at 4 workers the
 #: 8-config sweep must run >= 3x faster than serial.  Only asserted when
@@ -309,6 +319,49 @@ def test_sweep_scaling():
             f"8-config sweep at 4 workers ran only {speedup4:.2f}x faster "
             f"than serial on a {cpus}-CPU box (floor: "
             f"{SWEEP_SPEEDUP_FLOOR_AT_4}x)")
+
+
+# ---------------------------------------------------------------------------
+# paged fast-forward folding
+
+
+def test_paged_fold_event_ceiling(monkeypatch):
+    """Events per request on a small paged replay stay at the folded count.
+
+    The count is deterministic, so the ceiling is exact: any change that
+    makes a paged pool post more events (folding disabled by an
+    eligibility change, a growth cap that stops every fold early) fails
+    here rather than as a vague throughput drop.
+    """
+    from repro.serving import engine as engine_module
+    from repro.workloads.traces import RequestTrace, synthetic_azure_trace
+
+    pushed = [0]
+    real_queue = engine_module.BucketedEventQueue
+
+    class CountingQueue(real_queue):
+        def push(self, event):
+            pushed[0] += 1
+            super().push(event)
+
+        def push_many(self, batch):
+            pushed[0] += len(batch)
+            super().push_many(batch)
+
+    monkeypatch.setattr(engine_module, "BucketedEventQueue", CountingQueue)
+    trace = RequestTrace(requests=list(synthetic_azure_trace(
+        PAGED_FOLD_REQUESTS, seed=0, mean_rate_per_s=8.0,
+        diurnal_amplitude=0.3)))
+    engine = engine_module.TokenServingEngine(
+        cluster=BENCH_CONFIG["cluster"],
+        max_batch_size=BENCH_CONFIG["max_batch_size"],
+        policy=BENCH_CONFIG["policy"], kv_mode="paged")
+    metrics, _ = engine.run(trace)
+    assert metrics.num_requests == PAGED_FOLD_REQUESTS
+    assert pushed[0] <= PAGED_FOLD_EVENTS_CEILING, (
+        f"{pushed[0]} events for {PAGED_FOLD_REQUESTS} paged requests "
+        f"({pushed[0] / PAGED_FOLD_REQUESTS:.2f}/request); folding posts "
+        f"at most {PAGED_FOLD_EVENTS_CEILING}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,17 @@ unless suffixed ``_total``, and all transfer times are seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.memory.hbm import kv_budget_bytes_per_node
 from repro.memory.kv_cache import KVCacheLayout
@@ -165,6 +175,12 @@ class PagedKVManager:
         #: ref==0 registered blocks, insertion order == LRU reclaim order
         self._reclaimable: Dict[int, None] = {}
         self._multi_ref = 0                      # blocks with refcount >= 2
+        #: Block capacity of every live table (Σ device blocks × block
+        #: size; a shared block counts once per holder) and the positions
+        #: the device-resident tables cache — kept incrementally so
+        #: :attr:`internal_fragmentation_fraction` is O(1) per step.
+        self.allocated_tokens: Tokens = 0
+        self.cached_tokens: Tokens = 0
         # lifetime counters (monotonic; survive free())
         self.peak_used_blocks = 0
         self.swap_out_count = 0
@@ -259,14 +275,10 @@ class PagedKVManager:
     def internal_fragmentation_fraction(self) -> float:
         """Fraction of allocated block capacity not covering cached tokens
         (partially-filled tail blocks of device-resident requests)."""
-        allocated_tokens = sum(
-            len(t.device_blocks) for t in self._tables.values()
-        ) * self.block_size_tokens
+        allocated_tokens = self.allocated_tokens
         if allocated_tokens == 0:
             return 0.0
-        cached = sum(t.cached_tokens for t in self._tables.values()
-                     if not t.is_swapped)
-        return 1.0 - cached / allocated_tokens
+        return 1.0 - self.cached_tokens / allocated_tokens
 
     def blocks_needed(self, num_tokens: Tokens) -> int:
         """Blocks covering ``num_tokens`` cached positions."""
@@ -313,17 +325,119 @@ class PagedKVManager:
             return False
         if table is None:
             table = self._tables[request_id] = BlockTable(request_id)
-        if self.prefix_sharing:
-            for _ in range(max(missing, 0)):
-                block = self._take_block()
-                self._ref[block] = 1
-                table.device_blocks.append(block)
-        else:
-            for _ in range(max(missing, 0)):
-                table.device_blocks.append(self._free.pop())
-        table.cached_tokens = max(table.cached_tokens, target_tokens)
+        if missing > 0:
+            if self.prefix_sharing:
+                for _ in range(missing):
+                    block = self._take_block()
+                    self._ref[block] = 1
+                    table.device_blocks.append(block)
+            else:
+                for _ in range(missing):
+                    table.device_blocks.append(self._free.pop())
+            self.allocated_tokens += missing * self.block_size_tokens
+        if target_tokens > table.cached_tokens:
+            self.cached_tokens += target_tokens - table.cached_tokens
+            table.cached_tokens = target_tokens
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         return True
+
+    def fold_growth(self, request_ids: Sequence[int],
+                    contexts: Sequence[Tokens]
+                    ) -> Iterator[Tuple[float, float]]:
+        """Grow the tables of a decode run folded into one event, one step
+        per ``next()``, yielding that step's ``(occupancy_fraction,
+        internal_fragmentation_fraction)``.
+
+        Member ``j`` (``request_ids[j]``) entered step 0 at context
+        ``contexts[j]`` and already holds step 0's blocks; step ``i``
+        appends position ``contexts[j] + i + 1`` (clamped to the context
+        window).  Each ``next()`` applies the following step's growth
+        exactly as per-step :meth:`allocate` calls would — block-boundary
+        crossings take blocks from the free list in batch order, so every
+        table gets the block ids the per-step path would give it — and
+        yields the two fractions from the same integer counts the
+        properties divide, so each is the float the per-step path reads.
+        The generator stops *before* the first step whose crossings exceed
+        the free list: a fold never reclaims cached prefix blocks, so the
+        shared fraction and the prefix index stay constant inside it.
+        ``close()`` writes back the tables' cached positions and the
+        token counters (the generator keeps them in locals); call it
+        before anything else reads the pool.
+        """
+        size = self.block_size_tokens
+        max_seq = self.layout.max_seq_len
+        total = self.total_blocks
+        tables = [self._tables[rid] for rid in request_ids]
+        free = self._free
+        sharing = self.prefix_sharing
+        # heap of (step, batch index): the next block-boundary crossing of
+        # each member, popped step-major in batch order
+        crossings: List[Tuple[int, int]] = []
+        # (step, change) of the number of members whose cached positions
+        # grow: from the first target past the table's cached count until
+        # the window clamps; popped from the end
+        rate_changes: List[Tuple[int, int]] = []
+        for j, (table, ctx) in enumerate(zip(tables, contexts)):
+            held_tokens = len(table.device_blocks) * size
+            if held_tokens < max_seq:
+                # position held_tokens + 1 needs a block: appended at step
+                # held_tokens - ctx
+                crossings.append((held_tokens - ctx, j))
+            start = max(1, table.cached_tokens - ctx)
+            stop = max_seq - ctx
+            if start < stop:
+                rate_changes.append((start, 1))
+                rate_changes.append((stop, -1))
+        heapify(crossings)
+        rate_changes.sort(reverse=True)
+        never = max_seq + 1  # later than any step can grow
+        next_cross = crossings[0][0] if crossings else never
+        next_change = rate_changes[-1][0] if rate_changes else never
+        start_cached = [table.cached_tokens for table in tables]
+        allocated = self.allocated_tokens
+        cached = self.cached_tokens
+        occupancy = self.occupancy_fraction
+        rate = 0
+        step = applied = 0
+        try:
+            while True:
+                step += 1
+                if step == next_cross:
+                    taking: List[int] = []
+                    while crossings and crossings[0][0] == step:
+                        taking.append(heappop(crossings)[1])
+                    if len(taking) > len(free):
+                        return
+                    for j in taking:
+                        table = tables[j]
+                        block = free.pop()
+                        if sharing:
+                            self._ref[block] = 1
+                        table.device_blocks.append(block)
+                        if len(table.device_blocks) * size < max_seq:
+                            heappush(crossings, (step + size, j))
+                    next_cross = crossings[0][0] if crossings else never
+                    allocated += len(taking) * size
+                    used = self.used_blocks
+                    if used > self.peak_used_blocks:
+                        self.peak_used_blocks = used
+                    occupancy = used / total
+                if step == next_change:
+                    while rate_changes and rate_changes[-1][0] == step:
+                        rate += rate_changes.pop()[1]
+                    next_change = (rate_changes[-1][0] if rate_changes
+                                   else never)
+                cached += rate
+                applied = step
+                yield occupancy, 1.0 - cached / allocated
+        finally:
+            self.allocated_tokens = allocated
+            self.cached_tokens = cached
+            if applied:
+                for table, ctx, start_count in zip(tables, contexts,
+                                                   start_cached):
+                    table.cached_tokens = max(
+                        start_count, min(ctx + applied + 1, max_seq))
 
     def free(self, request_id: int) -> int:
         """Release every block (device and host) a request holds; returns
@@ -334,6 +448,9 @@ class PagedKVManager:
         table = self._tables.pop(request_id, None)
         if table is None:
             return 0
+        self.allocated_tokens -= len(table.device_blocks) * self.block_size_tokens
+        if not table.is_swapped:
+            self.cached_tokens -= table.cached_tokens
         if not self.prefix_sharing:
             released = len(table.device_blocks)
             self._free.extend(reversed(table.device_blocks))
@@ -410,6 +527,40 @@ class PagedKVManager:
             return 0
         return min(matched * self.block_size_tokens, len(token_ids) - 1)
 
+    def _prefix_plan(self, target_tokens: Tokens,
+                     token_ids: Sequence[int]
+                     ) -> Tuple[List[int], Tokens, bool, int, int]:
+        """What :meth:`allocate_prefix` would do for a fresh table right
+        now: ``(matched block ids, reused positions, COW copy?, fresh
+        blocks, resurrected reclaimable blocks)``.  Read-only."""
+        matched_ids = self._match_chain(token_ids) if token_ids else []
+        matched_tokens = 0
+        if matched_ids:
+            matched_tokens = min(len(matched_ids) * self.block_size_tokens,
+                                 len(token_ids) - 1)
+        # COW: the last matched block is only partially reused (the final
+        # prompt token will be recomputed and rewritten); if another request
+        # also references it, the write must go to a private copy.
+        cow = bool(matched_ids) \
+            and matched_tokens < len(matched_ids) * self.block_size_tokens \
+            and self._ref.get(matched_ids[-1], 0) >= 1
+        fresh = max(0, self.blocks_needed(target_tokens) - len(matched_ids))
+        resurrected = sum(1 for b in matched_ids if b in self._reclaimable)
+        return matched_ids, matched_tokens, cow, fresh, resurrected
+
+    def prefix_claim_blocks(self, target_tokens: Tokens,
+                            token_ids: Sequence[int]) -> Blocks:
+        """Free blocks :meth:`allocate_prefix` for ``target_tokens``
+        positions would consume right now (fresh blocks, the COW copy and
+        every matched block resurrected from the reclaimable tier): the
+        allocation succeeds exactly when this is at most
+        :attr:`free_blocks`.  The dry run of the admission gate."""
+        if not self.prefix_sharing:
+            return self.blocks_needed(target_tokens)
+        _, _, cow, fresh, resurrected = self._prefix_plan(target_tokens,
+                                                          token_ids)
+        return fresh + (1 if cow else 0) + resurrected
+
     def allocate_prefix(self, request_id: int, target_tokens: Tokens,
                         token_ids: Sequence[int]) -> Optional[int]:
         """First allocation for a request carrying prompt token ids: reuse
@@ -430,20 +581,9 @@ class PagedKVManager:
             raise RuntimeError(
                 f"request {request_id} already holds KV here; prefix "
                 "allocation only applies to a fresh table")
-        matched_ids = self._match_chain(token_ids) if token_ids else []
-        matched_tokens = 0
-        if matched_ids:
-            matched_tokens = min(len(matched_ids) * self.block_size_tokens,
-                                 len(token_ids) - 1)
-        # COW: the last matched block is only partially reused (the final
-        # prompt token will be recomputed and rewritten); if another request
-        # also references it, the write must go to a private copy.
-        cow = bool(matched_ids) \
-            and matched_tokens < len(matched_ids) * self.block_size_tokens \
-            and self._ref.get(matched_ids[-1], 0) >= 1
-        fresh = max(0, self.blocks_needed(target_tokens) - len(matched_ids))
+        matched_ids, matched_tokens, cow, fresh, resurrected = \
+            self._prefix_plan(target_tokens, token_ids)
         takes = fresh + (1 if cow else 0)
-        resurrected = sum(1 for b in matched_ids if b in self._reclaimable)
         if takes > self.free_blocks - resurrected:
             return None
         shared = matched_ids[:-1] if cow else matched_ids
@@ -464,6 +604,8 @@ class PagedKVManager:
                                             BlockTable(request_id))
         table.device_blocks = blocks
         table.cached_tokens = max(target_tokens, matched_tokens)
+        self.allocated_tokens += len(blocks) * self.block_size_tokens
+        self.cached_tokens += table.cached_tokens
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         if matched_tokens > 0:
             self.prefix_hits += 1
@@ -513,6 +655,8 @@ class PagedKVManager:
         if table.is_swapped:
             raise RuntimeError(f"request {request_id} is already swapped out")
         num_blocks = len(table.device_blocks)
+        self.allocated_tokens -= num_blocks * self.block_size_tokens
+        self.cached_tokens -= table.cached_tokens
         if self.prefix_sharing:
             # The host snapshot is private and complete (full PCIe bytes);
             # device-side, shared prefix blocks just drop this request's
@@ -561,6 +705,8 @@ class PagedKVManager:
             for _ in range(num_blocks):
                 table.device_blocks.append(self._free.pop())
         table.host_blocks = 0
+        self.allocated_tokens += num_blocks * self.block_size_tokens
+        self.cached_tokens += table.cached_tokens
         bytes_total = self._swap_bytes_total(num_blocks)
         self.swap_in_count += 1
         self.swapped_bytes_total += bytes_total

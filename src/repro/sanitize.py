@@ -12,7 +12,10 @@ re-verifies its structural invariants after **every** event it processes:
 * **paged-KV block/refcount conservation** — the free list, reclaimable
   cache, and live block tables partition every pool exactly, refcounts
   equal table references, and the prefix index mirrors the block-hash map
-  (``kv-*`` checks, promoted from ``tests/test_paged_kv_fuzz.py``);
+  (``kv-*`` checks, promoted from ``tests/test_paged_kv_fuzz.py``),
+  including the pool's incremental allocated/cached token counters
+  against a full recount (``kv-counters``), so counter drift fails at the
+  event that caused it;
 * **queue/request conservation** — every arrival is accounted for:
   queued, batched, parked, mid-handoff, or completed
   (``request-conservation``);
@@ -125,6 +128,18 @@ def check_kv_invariants(manager: "PagedKVManager", *,
                for b in free_set | reclaimable | held):
         _fail("a tier references a block outside the physical pool",
               check="kv-block-conservation", event=event)
+
+    # the O(1) fragmentation counters equal a full recount of the tables
+    allocated = manager.block_size_tokens * sum(
+        len(table.device_blocks) for table in manager._tables.values())
+    cached = sum(table.cached_tokens for table in manager._tables.values()
+                 if not table.is_swapped)
+    if (manager.allocated_tokens, manager.cached_tokens) != (allocated,
+                                                             cached):
+        _fail(f"incremental counters report {manager.allocated_tokens} "
+              f"allocated / {manager.cached_tokens} cached tokens, the "
+              f"tables hold {allocated} / {cached}", check="kv-counters",
+              event=event)
 
     # invariant 3: refcounts equal the number of tables referencing a block
     if manager.prefix_sharing:

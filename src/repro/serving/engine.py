@@ -90,7 +90,6 @@ from repro.serving.events import BucketedEventQueue, Event
 from repro.serving.cluster import ClusterSpec, Router, make_router, parse_cluster_spec
 from repro.serving.instance import (
     InstanceRuntime,
-    InstanceStats,
     RequestState,
     kv_capacity_admits,
 )
@@ -306,10 +305,10 @@ class TokenServingEngine:
         Allow the event loop to fast-forward provably identical
         consecutive pure-decode steps into single events (see
         :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact — single-class pools without paged KV —
-        and produces bit-identical timestamps there; the switch exists so
-        equivalence tests can compare against the one-event-per-step
-        execution.
+        engaged where it is exact — single-class pools, paged ones only
+        with ``preemption_mode="swap"`` — and produces bit-identical
+        timestamps there; the switch exists so equivalence tests can
+        compare against the one-event-per-step execution.
     sanitize:
         Opt-in shadow validation (see :mod:`repro.sanitize`): re-verify
         event-time monotonicity, paged-KV block/refcount conservation and
@@ -529,11 +528,15 @@ class TokenServingEngine:
         instance_id = 0
         # fast-forwarding decode runs is only provably exact on
         # single-class pools (the routers' dispatch_order is stateful, so
-        # skipped boundaries would diverge it) without paged KV (block
-        # growth at a boundary can evict even when the queue is empty)
+        # skipped boundaries would diverge it).  A paged fold stops before
+        # its block growth could evict, but in recompute mode another
+        # instance's growth eviction puts its victim back in the shared
+        # queue with no arrival to bound it, where a skipped boundary would
+        # have admitted it; a swapped victim is pinned to its own instance
         allow_multistep = (self.multistep
                            and not self.cluster.is_heterogeneous
-                           and not self._paged)
+                           and (not self._paged
+                                or self.preemption_mode == "swap"))
         for (spec, class_system, controller, manager), caches in zip(
                 self._protos, self._caches):
             for _ in range(spec.count):
@@ -657,7 +660,6 @@ class TokenServingEngine:
             # StreamingTrace is re-iterable by contract, so this pass does
             # not consume the engine's arrival stream
             router.prepare(runtimes, trace)
-        stats = InstanceStats()
         # two-level bucketed queue (near-future ring + far heap); pops
         # come out in exactly heapq's (time, seq) order, so the replay
         # is bit-identical to the old global heap
@@ -780,7 +782,7 @@ class TokenServingEngine:
             horizon_fn = _fold_horizon
 
         def dispatch(runtime: InstanceRuntime, now: float) -> None:
-            launch = runtime.dispatch(scheduler, now, stats, gate=gate,
+            launch = runtime.dispatch(scheduler, now, gate=gate,
                                       horizon_s=next_arrival_t,
                                       horizon_fn=horizon_fn)
             if launch is not None:
@@ -790,29 +792,43 @@ class TokenServingEngine:
                 push_event((completes, next(seq), _STEP_DONE,
                             launch.payload))
 
+        def offer_idle(now: float) -> None:
+            """Paged single-class pools: offer the queue to every idle
+            instance in id order, and again while a pass admitted work
+            and requests still wait.  Swap affinity pins a victim to the
+            instance holding its blocks, so an admission can bring an
+            idle instance's own victim to the head after that instance
+            was passed over; repeating the pass leaves every idle instance
+            refusing the current head, which is what makes the boundaries
+            a fast-forward skips provably inert."""
+            while True:
+                admitted = False
+                for runtime in runtimes:
+                    if not runtime.busy:
+                        dispatch(runtime, now)
+                        admitted = admitted or runtime.busy
+                if not (admitted and len(scheduler)):
+                    return
+
         def pump(completer: Optional[InstanceRuntime], now: float) -> None:
             """Offer the queue to every instance at a step boundary.
 
             Single-class pools replay the exact pre-cluster order: the
             completing instance first, then — paged mode only, where
             swap affinity can strand work on an idle instance — every idle
-            instance; arrivals offer to idle instances in id order.
-            Heterogeneous pools let the router order all boundary
-            instances (idle ones are always woken: a vetoed head must be
-            able to reach its preferred class the moment it has a
-            boundary).
+            instance (:func:`offer_idle`); arrivals offer to idle
+            instances in id order.  Heterogeneous pools let the router
+            order all boundary instances (idle ones are always woken: a
+            vetoed head must be able to reach its preferred class the
+            moment it has a boundary).
             """
             if not multi_class:
                 if completer is not None:
                     dispatch(completer, now)
                     if self._paged and len(scheduler):
-                        for runtime in runtimes:
-                            if not runtime.busy:
-                                dispatch(runtime, now)
+                        offer_idle(now)
                 elif self._paged:
-                    for runtime in runtimes:
-                        if not runtime.busy:
-                            dispatch(runtime, now)
+                    offer_idle(now)
                 else:
                     # without paged KV an idle instance holds no batch and
                     # no parked work, so once the queue drains the
@@ -901,10 +917,10 @@ class TokenServingEngine:
                                          payload.request.request_id, now))
             else:
                 runtime = payload[1]
-                for state in runtime.complete_step(payload, now, stats):
+                for state in runtime.complete_step(payload, now):
                     record(state, now)
                 if fast_completer:
-                    launch = runtime.dispatch(scheduler, now, stats, None,
+                    launch = runtime.dispatch(scheduler, now, None,
                                               next_arrival_t,
                                               horizon_fn=horizon_fn)
                     if launch is not None:
@@ -929,10 +945,10 @@ class TokenServingEngine:
 
         self._save_pricing_caches()
         if collector is not None:
-            return self._metrics_streaming(collector, runtimes, stats), []
+            return self._metrics_streaming(collector, runtimes), []
         if not _is_id_sorted(records):
             records.sort(key=lambda r: r.request_id)
-        return self._metrics(records, runtimes, stats), records
+        return self._metrics(records, runtimes), records
 
     # ------------------------------------------------------------------
     # metrics assembly
@@ -955,12 +971,19 @@ class TokenServingEngine:
         return kv_block_size, kv_total_blocks
 
     def _pool_fields(self, runtimes: List[InstanceRuntime],
-                     stats: InstanceStats,
                      makespan: Seconds) -> Dict[str, Any]:
         """The :class:`ServingMetrics` fields full and streaming assembly
         share: pool shape, step accounting and the KV, swap, handoff and
-        prefix counters (all exact in both modes)."""
+        prefix counters (all exact in both modes).  Pool-wide time
+        aggregates are the runtimes' own sums added in instance-id order,
+        so they do not depend on how steps interleave across instances
+        (or on which of them folded)."""
         pool_time = makespan * self.num_instances
+
+        def total(attr: str) -> float:
+            return sum(getattr(r.stats, attr) for r in runtimes)
+
+        busy_time = total("busy_time")
         managers = self.last_kv_managers
         kv_block_size, kv_total_blocks = self._kv_pool_shape()
         return dict(
@@ -969,25 +992,27 @@ class TokenServingEngine:
             makespan_s=makespan,
             policy=self.policy,
             prefill_mode=self.prefill_mode,
-            busy_time_s=stats.busy_time,
-            prefill_tokens_processed=stats.prefill_tokens,
-            decode_step_time_s=stats.decode_time,
-            prefill_step_time_s=stats.prefill_time,
-            mixed_step_time_s=stats.mixed_time,
+            busy_time_s=busy_time,
+            prefill_tokens_processed=sum(r.stats.prefill_tokens
+                                         for r in runtimes),
+            decode_step_time_s=total("decode_time"),
+            prefill_step_time_s=total("prefill_time"),
+            mixed_step_time_s=total("mixed_time"),
             kv_mode=self._kv_mode,
             kv_block_size=kv_block_size,
             kv_total_blocks=kv_total_blocks,
-            mean_running_batch=(stats.batch_time / pool_time
+            mean_running_batch=(total("batch_time") / pool_time
                                 if pool_time > 0 else 0.0),
-            mean_kv_occupancy=(stats.kv_occ_time / pool_time
+            mean_kv_occupancy=(total("kv_occ_time") / pool_time
                                if pool_time > 0 else 0.0),
-            peak_kv_occupancy=stats.peak_kv_occupancy,
-            mean_kv_fragmentation=(stats.frag_time / stats.busy_time
-                                   if stats.busy_time > 0 else 0.0),
+            peak_kv_occupancy=max(r.stats.peak_kv_occupancy
+                                  for r in runtimes),
+            mean_kv_fragmentation=(total("frag_time") / busy_time
+                                   if busy_time > 0 else 0.0),
             swap_out_count=sum(m.swap_out_count for m in managers),
             swap_in_count=sum(m.swap_in_count for m in managers),
             swapped_bytes=sum(m.swapped_bytes_total for m in managers),
-            swap_time_s=stats.swap_time_s,
+            swap_time_s=total("swap_time_s"),
             handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
             handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
             kv_prefix_sharing=self.kv_prefix_sharing,
@@ -995,15 +1020,14 @@ class TokenServingEngine:
             prefill_tokens_saved=sum(m.prefix_tokens_reused
                                      for m in managers),
             cow_copies=sum(m.cow_copies for m in managers),
-            mean_kv_shared_fraction=(stats.shared_kv_time / stats.busy_time
-                                     if stats.busy_time > 0 else 0.0),
+            mean_kv_shared_fraction=(total("shared_kv_time") / busy_time
+                                     if busy_time > 0 else 0.0),
             cluster=str(self.cluster),
             router=self.router.name,
         )
 
     def _metrics(self, records: List[ServedRequest],
-                 runtimes: List[InstanceRuntime],
-                 stats: InstanceStats) -> ServingMetrics:
+                 runtimes: List[InstanceRuntime]) -> ServingMetrics:
         """Full-mode metrics assembly: exact per-request latency lists."""
         makespan = max(r.finish_s for r in records)
 
@@ -1033,12 +1057,11 @@ class TokenServingEngine:
             tpots_s=[r.tpot_s for r in records if r.ttft_s is not None],
             preemptions=sum(r.preemptions for r in records),
             per_class=self._per_class(runtimes, makespan, record_fields),
-            **self._pool_fields(runtimes, stats, makespan),
+            **self._pool_fields(runtimes, makespan),
         )
 
     def _metrics_streaming(self, collector: StreamingMetricsCollector,
-                           runtimes: List[InstanceRuntime],
-                           stats: InstanceStats) -> ServingMetrics:
+                           runtimes: List[InstanceRuntime]) -> ServingMetrics:
         """Streaming-mode metrics assembly: counters and step accounting
         are exact (identical to full mode), latency distributions come as
         :class:`~repro.serving.metrics.StreamingQuantile` aggregates, and
@@ -1064,7 +1087,7 @@ class TokenServingEngine:
             streams=collector.streams(),
             slo_pin=collector.slo,
             slo_good_requests=collector.slo_good,
-            **self._pool_fields(runtimes, stats, makespan),
+            **self._pool_fields(runtimes, makespan),
         )
 
     @staticmethod

@@ -136,9 +136,10 @@ class RequestState:
 
 @dataclass
 class InstanceStats:
-    """Time-weighted occupancy accumulators for one instance (or, summed,
-    for a whole run — the engine keeps one global instance and one per
-    runtime so per-class metrics come for free)."""
+    """Time-weighted occupancy accumulators for one instance.  Every step
+    adds to its own instance's copy only; the engine sums the runtimes'
+    copies in instance-id order for pool totals and per class for the
+    per-class metrics."""
 
     batch_time: float = 0.0      # Σ advancing requests × step seconds
     busy_time: float = 0.0       # Σ step seconds
@@ -151,8 +152,7 @@ class InstanceStats:
     decode_time: float = 0.0     # Σ pure-decode step seconds
     prefill_time: float = 0.0    # Σ pure-prefill step seconds
     mixed_time: float = 0.0      # Σ mixed prefill+decode step seconds
-    # prefill→decode handoffs (disaggregated clusters; accumulated on the
-    # per-runtime stats only — the engine sums runtimes for cluster totals)
+    # prefill→decode handoffs (disaggregated clusters)
     handoff_out_count: int = 0   # prompts exported to a decode instance
     handoff_in_count: int = 0    # handed-off prompts resumed here
     handoff_time_s: Seconds = 0.0  # Σ PCIe seconds of handoff transfers
@@ -268,7 +268,8 @@ class InstanceRuntime:
             transfer_cache if transfer_cache is not None else {})
         #: Set by the engine when fast-forwarding batched decode steps is
         #: provably identical to one-event-per-step execution (single-class
-        #: pools without paged KV; see :meth:`dispatch`).
+        #: pools whose paged KV, if any, preempts by swapping; see
+        #: :meth:`dispatch`).
         self.allow_multistep = False
         #: True when every waiting request is trivially admissible here —
         #: no role constraint and no KV gate of either kind — letting the
@@ -360,11 +361,16 @@ class InstanceRuntime:
                     prefill_context=key[0])
         return cached
 
-    def _next_prefill_chunk(self, state: RequestState) -> int:
+    def _next_prefill_chunk(self, state: RequestState,
+                            prefill_done: Optional[Tokens] = None) -> int:
         """Prompt tokens ``state`` would stream in its next mixed step,
         before the step's token budget is split (per-request chunk cap and
-        the whole-step budget both apply)."""
-        chunk = min(state.prefill_remaining, self.mixed_step_token_budget)
+        the whole-step budget both apply); ``prefill_done`` overrides the
+        request's computed prompt positions."""
+        if prefill_done is None:
+            prefill_done = state.prefill_done
+        chunk = min(state.prefill_len - prefill_done,
+                    self.mixed_step_token_budget)
         if self.prefill_chunk_tokens is not None:
             chunk = min(chunk, self.prefill_chunk_tokens)
         return chunk
@@ -372,7 +378,8 @@ class InstanceRuntime:
     # ------------------------------------------------------------------
     # KV admission gates (mode-aware)
     # ------------------------------------------------------------------
-    def _paged_admit_target(self, state: RequestState) -> int:
+    def _paged_admit_target(self, state: RequestState,
+                            prefill_done: Optional[Tokens] = None) -> int:
         """Cached positions a (non-swapped) request must cover at admission.
 
         Exclusive prefill claims the whole prompt plus one slot for the
@@ -381,10 +388,15 @@ class InstanceRuntime:
         prefill streams the prompt in chunk by chunk, so admission only
         claims the first chunk and the table grows per step alongside the
         decode appends.  Both are clamped to the context window.
+        ``prefill_done`` overrides the request's computed prompt positions
+        (the offset a prefix-cache match will credit at admission).
         """
         request = state.request
-        if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
-            tokens = state.context_len + self._next_prefill_chunk(state)
+        if prefill_done is None:
+            prefill_done = state.prefill_done
+        if self.prefill_mode == "mixed" and prefill_done < state.prefill_len:
+            tokens = (prefill_done + state.decode_done
+                      + self._next_prefill_chunk(state, prefill_done))
         elif self.role == "prefill":
             # a prefill instance never appends a decode token: the prompt
             # hands off the moment it completes, so no +1 growth slot
@@ -411,7 +423,36 @@ class InstanceRuntime:
                 next_tokens = state.context_len + 1
             next_target = min(next_tokens, kv.layout.max_seq_len)
             return restore + max(0, kv.blocks_needed(next_target) - restore)
-        return kv.blocks_missing(rid, self._paged_admit_target(state))
+        plain = kv.blocks_missing(rid, self._paged_admit_target(state))
+        credit = self._prefix_credit(state)
+        if credit is None:
+            return plain
+        # Dry-run the prefix allocation admit() will make: the matched
+        # offset moves a mixed first chunk's target, and reused blocks
+        # resurrected from the reclaimable tier (plus a COW copy) also
+        # leave the free pool, so pricing only the plain reservation could
+        # admit a request admit() cannot allocate.  The plain reservation
+        # stays a floor: a prefix match saves prefill work, not admission
+        # headroom (an exclusive prompt admitted on its cached blocks alone
+        # can leave two requests that cannot co-reside evicting each other
+        # forever in recompute mode).
+        return max(plain, kv.prefix_claim_blocks(
+            self._paged_admit_target(state, credit),
+            state.request.prompt_token_ids))
+
+    def _prefix_credit(self, state: RequestState) -> Optional[Tokens]:
+        """Prompt positions admission credits ``state`` from this pool's
+        prefix cache, or None when the request takes the plain allocation
+        path (sharing off, no token ids, or a prompt already under way)."""
+        kv = self.kv
+        token_ids = state.request.prompt_token_ids
+        if (not kv.prefix_sharing or state.prefill_done != 0
+                or token_ids is None
+                or kv.holds(state.request.request_id)):
+            return None
+        matched = kv.match_prefix_tokens(token_ids)
+        # the last prompt token is always recomputed, for its logits
+        return min(matched, state.prefill_len - 1) if matched > 0 else 0
 
     def _paged_growth_headroom(self, kv: PagedKVManager,
                                batch: Sequence[RequestState]) -> int:
@@ -596,23 +637,22 @@ class InstanceRuntime:
                     self.stats.handoff_in_count += 1
                     self.stats.handoff_time_s += transfer
                 state.swapped_on = None
-            elif (kv.prefix_sharing and state.prefill_done == 0
-                    and not kv.holds(rid)
-                    and state.request.prompt_token_ids is not None):
-                matched = kv.match_prefix_tokens(state.request.prompt_token_ids)
-                if matched > 0:
-                    # credit the reused prompt positions as already computed:
-                    # prefill resumes at the matched offset, so both
-                    # prefill_tokens_processed and TTFT genuinely drop
-                    state.prefill_done = min(matched, state.prefill_len - 1)
-                if kv.allocate_prefix(
+            else:
+                credit = self._prefix_credit(state)
+                if credit is None:
+                    allocated = kv.allocate(rid,
+                                            self._paged_admit_target(state))
+                else:
+                    # credit the reused prompt positions as already
+                    # computed: prefill resumes at the matched offset, so
+                    # both prefill_tokens_processed and TTFT genuinely drop
+                    state.prefill_done = credit
+                    allocated = kv.allocate_prefix(
                         rid, self._paged_admit_target(state),
-                        state.request.prompt_token_ids) is None:
+                        state.request.prompt_token_ids) is not None
+                if not allocated:
                     raise RuntimeError("admission gate admitted an "
                                        "unallocatable request")  # pragma: no cover
-            elif not kv.allocate(rid, self._paged_admit_target(state)):
-                raise RuntimeError("admission gate admitted an "
-                                   "unallocatable request")  # pragma: no cover
         self.batch.append(state)
         if state.prefill_len > state.prefill_done:
             self._num_prefilling += 1
@@ -798,11 +838,140 @@ class InstanceRuntime:
             if not evicted:
                 return decoders, chunks
 
+    def _fold_paged(self, now: Seconds, limit: Seconds, duration: Seconds,
+                    kind_attr: str, advancing: int, payload: Tuple,
+                    members: Optional[List[RequestState]], context: Tokens,
+                    mixed: bool, prefill: Optional[RequestState]
+                    ) -> Tuple[int, Optional[Seconds], Tuple]:
+        """Fast-forward a paged pool's inert step run and record every
+        folded step's statistics exactly as the per-step path would.
+
+        ``duration`` is the first step's price (already planned, its
+        blocks already allocated).  A decode run extends while no member
+        finishes, the boundary stays before ``limit`` and the run's block
+        growth fits the free list (:meth:`PagedKVManager.fold_growth`
+        allocates each step's boundary crossings in step order and yields
+        that step's occupancy and fragmentation, exactly as the per-step
+        path reads them); an exclusive chunked prefill marches its prompt
+        chunk by chunk, with no growth at all.  Each step's statistics are
+        added one by one in step order from that step's integer block and
+        token counts, so every accumulator ends bit-identical to per-step
+        execution.
+        Returns ``(steps, completes_at_s or None, payload)``.
+        """
+        kv = self.kv
+        stats = self.stats
+        time_acc = getattr(stats, kind_attr)
+        batch_acc = stats.batch_time
+        busy_acc = stats.busy_time
+        occ_acc = stats.kv_occ_time
+        frag_acc = stats.frag_time
+        shared_acc = stats.shared_kv_time
+        peak = stats.peak_kv_occupancy
+        sharing = kv.prefix_sharing
+        # the fold never reclaims cached prefix blocks, so the shared
+        # fraction is the same at every step
+        shared = kv.shared_block_fraction if sharing else 0.0
+        occupancy = kv.occupancy_fraction
+        frag = kv.internal_fragmentation_fraction
+        # step 0, priced and planned by the caller
+        time_acc += duration
+        batch_acc += advancing * duration
+        busy_acc += duration
+        occ_acc += occupancy * duration
+        frag_acc += frag * duration
+        if sharing:
+            shared_acc += shared * duration
+        if occupancy > peak:
+            peak = occupancy
+        steps = 1
+        completes_at = None
+        t = now + duration
+        if prefill is not None:
+            # exclusive chunked prefill: the prompt's blocks were claimed
+            # at admission, so occupancy and fragmentation stay constant
+            state = prefill
+            total = payload[3]
+            cap = self.prefill_chunk_tokens
+            done = state.prefill_done + total
+            remaining = state.prefill_len - done
+            while remaining > 0 and t < limit:
+                c = cap if cap < remaining else remaining
+                d = self.prefill_chunk_latency_s(done, c)
+                t += d
+                done += c
+                total += c
+                remaining -= c
+                steps += 1
+                time_acc += d
+                batch_acc += d
+                busy_acc += d
+                occ_acc += occupancy * d
+                frag_acc += frag * d
+                if sharing:
+                    shared_acc += shared * d
+            if steps > 1:
+                payload = ("prefill", self, state, total)
+                completes_at = t
+        else:
+            kmax = members[0].decode_len - members[0].decode_done
+            for s in members:
+                r = s.decode_len - s.decode_done
+                if r < kmax:
+                    kmax = r
+            if steps < kmax and t < limit:
+                growth = kv.fold_growth(
+                    [s.request.request_id for s in members],
+                    [s.prefill_done + s.decode_done for s in members])
+                bucket = self.context_bucket
+                d = duration
+                # steps after the first that still price in its window
+                win = ((-(-context // bucket) * bucket - context)
+                       if bucket > 1 and context else 0)
+                try:
+                    # each item applies one more step's block growth
+                    for occupancy, frag in growth:
+                        if win == 0:
+                            c = context + steps
+                            if mixed:
+                                d = self.mixed_step_latency_s(c, advancing, 0)
+                            else:
+                                d = self.step_latency_s(c, advancing)
+                            win = ((-(-c // bucket) * bucket - c + 1)
+                                   if bucket > 1 else 1)
+                        t += d
+                        steps += 1
+                        win -= 1
+                        time_acc += d
+                        batch_acc += advancing * d
+                        busy_acc += d
+                        occ_acc += occupancy * d
+                        frag_acc += frag * d
+                        if sharing:
+                            shared_acc += shared * d
+                        if occupancy > peak:
+                            peak = occupancy
+                        if steps >= kmax or t >= limit:
+                            break
+                finally:
+                    growth.close()
+            if steps > 1:
+                payload = ("decode_k", self, (members, steps, now + duration),
+                           0)
+                completes_at = t
+        setattr(stats, kind_attr, time_acc)
+        stats.batch_time = batch_acc
+        stats.busy_time = busy_acc
+        stats.kv_occ_time = occ_acc
+        stats.frag_time = frag_acc
+        stats.shared_kv_time = shared_acc
+        stats.peak_kv_occupancy = peak
+        return steps, completes_at, payload
+
     # ------------------------------------------------------------------
     # step boundary: admission, preemption, step formation
     # ------------------------------------------------------------------
     def dispatch(self, scheduler: SchedulerPolicy, now: float,
-                 stats: InstanceStats,
                  gate: Optional[Callable[["InstanceRuntime", RequestState],
                                          bool]] = None,
                  horizon_s: Optional[Seconds] = None,
@@ -814,10 +983,8 @@ class InstanceRuntime:
         single-class pools): a head the gate rejects is neither admitted
         here nor preempted for — it waits for an instance the router likes.
         Returns the planned step, or None when the batch is empty (the
-        instance goes idle).  Global ``stats`` and the runtime's own
-        :attr:`stats` are both updated, in that order, so whole-run metrics
-        accumulate in the exact event order of the pre-cluster engine while
-        per-class metrics fall out of the per-runtime copies.
+        instance goes idle).  The step's time-weighted statistics go to
+        the runtime's own :attr:`stats`.
 
         ``horizon_s`` is the next trace arrival's timestamp (None when the
         engine cannot bound it).  With :attr:`allow_multistep` set, a pure
@@ -825,8 +992,9 @@ class InstanceRuntime:
         the waiting queue is empty until the horizon, or the batch is full
         under a scheduler that never preempts — is fast-forwarded: up to k
         identical steps fold into one event, with k bounded so no batch
-        member finishes early and the context stays inside one pricing
-        bucket.  The folded launch carries its absolute completion time in
+        member finishes early (and, on a paged pool, so the fold's block
+        growth fits the free list; see :meth:`_fold_paged`).  The folded
+        launch carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         """
@@ -975,6 +1143,7 @@ class InstanceRuntime:
         steps = 1
         completes_at = None
         ff_segments = None
+        replayed = False    # a paged fold recorded its own step statistics
         if (self.allow_multistep and pending == 0.0
                 and horizon_s is not None
                 and (ff_members is not None or ff_prefill is not None)):
@@ -999,7 +1168,16 @@ class InstanceRuntime:
             elif (scheduler.never_preempts
                     and len(batch) >= max_batch):
                 limit = float("inf")
-            if limit is not None and ff_prefill is not None:
+            if limit is not None and self.kv is not None:
+                # parked swap-priority victims are retried at every
+                # boundary; keep those boundaries real
+                if not self.parked:
+                    steps, completes_at, payload = self._fold_paged(
+                        now, limit, duration, kind_attr, advancing,
+                        payload, ff_members, ff_context, ff_mixed,
+                        ff_prefill)
+                    replayed = True
+            elif limit is not None and ff_prefill is not None:
                 # chunked exclusive prefill: successive chunks of the same
                 # prompt (the batch-order scan re-picks this member at
                 # every inert boundary, and stalled decoders never change).
@@ -1069,53 +1247,51 @@ class InstanceRuntime:
                     payload = ("decode_k", self,
                                (ff_members, steps, now + duration), 0)
                     completes_at = t
-        if steps == 1:
-            bd = advancing * duration
+        if replayed:
+            pass  # _fold_paged added every step's statistics itself
+        elif steps == 1:
+            stats = self.stats
+            if kind_attr == "decode_time":
+                stats.decode_time += step_duration
+            elif kind_attr == "prefill_time":
+                stats.prefill_time += step_duration
+            else:
+                stats.mixed_time += step_duration
+            if pending > 0.0:
+                stats.swap_time_s += pending
+            stats.batch_time += advancing * duration
+            stats.busy_time += duration
             kvm = self.kv
             if kvm is not None:
                 occupancy = kvm.occupancy_fraction
-                frag_term = kvm.internal_fragmentation_fraction * duration
-                shared_term = (kvm.shared_block_fraction * duration
-                               if kvm.prefix_sharing else 0.0)
-            for acc in (stats, self.stats):
-                if kind_attr == "decode_time":
-                    acc.decode_time += step_duration
-                elif kind_attr == "prefill_time":
-                    acc.prefill_time += step_duration
-                else:
-                    acc.mixed_time += step_duration
-                if pending > 0.0:
-                    acc.swap_time_s += pending
-                acc.batch_time += bd
-                acc.busy_time += duration
-                if kvm is not None:
-                    acc.kv_occ_time += occupancy * duration
-                    acc.frag_time += frag_term
-                    acc.shared_kv_time += shared_term
-                    if occupancy > acc.peak_kv_occupancy:
-                        acc.peak_kv_occupancy = occupancy
+                stats.kv_occ_time += occupancy * duration
+                stats.frag_time += \
+                    kvm.internal_fragmentation_fraction * duration
+                if kvm.prefix_sharing:
+                    stats.shared_kv_time += \
+                        kvm.shared_block_fraction * duration
+                if occupancy > stats.peak_kv_occupancy:
+                    stats.peak_kv_occupancy = occupancy
         else:
-            # k folded steps: the per-step stat adds collapse to one
-            # closed-form add per pricing segment (duration × count).
-            # This is the one fast-forward shortcut that is not replayed
-            # add-by-add: time-weighted aggregates may differ from
-            # per-event execution in the last float bits, while every
-            # timestamp, token count and per-request record stays exact
-            # (the completion chain above still walks step by step).
-            # Fast-forward requires kv is None and pending == 0, so only
-            # the three time accumulators apply.
+            # k folded steps without paged KV: the per-step stat adds
+            # collapse to one closed-form add per pricing segment
+            # (duration × count).  This is the one fast-forward shortcut
+            # that is not replayed add-by-add: time-weighted aggregates may
+            # differ from per-event execution in the last float bits, while
+            # every timestamp, token count and per-request record stays
+            # exact (the completion chain above still walks step by step).
+            # Fast-forward requires pending == 0, so only the three time
+            # accumulators apply.
             td = 0.0
             for d_seg, n_seg in ff_segments:
                 td += d_seg * n_seg
-            bd = advancing * td
-            decode_fold = kind_attr == "decode_time"
-            for acc in (stats, self.stats):
-                if decode_fold:
-                    acc.decode_time += td
-                else:
-                    acc.prefill_time += td
-                acc.batch_time += bd
-                acc.busy_time += td
+            stats = self.stats
+            if kind_attr == "decode_time":
+                stats.decode_time += td
+            else:
+                stats.prefill_time += td
+            stats.batch_time += advancing * td
+            stats.busy_time += td
         self.busy = True
         return StepLaunch(duration_s=duration, payload=payload,
                           completes_at_s=completes_at)
@@ -1147,8 +1323,7 @@ class InstanceRuntime:
         else:
             lifecycle.transition(state, "prefill_complete")
 
-    def complete_step(self, payload: Tuple, now: float,
-                      stats: InstanceStats) -> List[RequestState]:
+    def complete_step(self, payload: Tuple, now: float) -> List[RequestState]:
         """Apply one finished step's token bookkeeping and return the
         requests that completed with it (the engine records them)."""
         kind, _, target, chunk = payload
@@ -1175,7 +1350,6 @@ class InstanceRuntime:
                     self._finish(state, finished)
         elif kind == "prefill":
             target.prefill_done += chunk
-            stats.prefill_tokens += chunk
             self.stats.prefill_tokens += chunk
             if target.prefill_len == target.prefill_done:
                 self._num_prefilling -= 1
@@ -1191,7 +1365,6 @@ class InstanceRuntime:
                     self._finish(state, finished)
             for state, tokens in chunks:
                 state.prefill_done += tokens
-                stats.prefill_tokens += tokens
                 self.stats.prefill_tokens += tokens
                 if state.prefill_len == state.prefill_done:
                     self._num_prefilling -= 1

@@ -40,9 +40,9 @@ SEEDS = range(100)
 FAMILIES = 4
 
 
-def _manager(prefix_sharing):
+def _manager(prefix_sharing, max_seq=MAX_SEQ):
     layout = KVCacheLayout(num_layers=2, num_heads=4, head_dim=8,
-                           max_seq_len=MAX_SEQ, num_nodes=2)
+                           max_seq_len=max_seq, num_nodes=2)
     budget = POOL_BLOCKS * BLOCK_SIZE * layout.bytes_per_token_per_node()
     return PagedKVManager(layout, block_size_tokens=BLOCK_SIZE,
                           budget_bytes=budget,
@@ -236,3 +236,97 @@ def test_sequence_count_meets_ci_floor():
     """The parametrization above is the CI contract: ≥200 randomized op
     sequences per run, split evenly across sharing off/on."""
     assert len(SEEDS) * 2 >= 200
+
+
+def _populated(seed, prefix_sharing, max_seq=MAX_SEQ):
+    """A pool with a few live (some shared, some swapped) tables and a
+    registered prefix cache, plus the ids of the device-resident tables."""
+    rng = random.Random(seed)
+    manager = _manager(prefix_sharing, max_seq)
+    live = []
+    for rid in range(rng.randint(1, 6)):
+        ids = _prompt_ids(rng)
+        target = min(len(ids) + 1, max_seq)
+        if manager.allocate_prefix(rid, target, ids) is None:
+            continue
+        manager.register_prefix(rid, ids)
+        live.append(rid)
+    if len(live) > 1 and rng.random() < 0.3:
+        manager.swap_out(live.pop(0))
+    if live and rng.random() < 0.3:
+        manager.free(live.pop())
+    return manager, live, rng
+
+
+@pytest.mark.parametrize("max_seq", [MAX_SEQ, 40],
+                         ids=["open-window", "clamped-window"])
+@pytest.mark.parametrize("prefix_sharing", [False, True],
+                         ids=["sharing-off", "sharing-on"])
+@pytest.mark.parametrize("seed", range(30))
+def test_fold_growth_matches_per_step_allocation(seed, prefix_sharing,
+                                                 max_seq):
+    """``fold_growth`` must leave the pool exactly as per-step ``allocate``
+    calls in batch order do — same block ids per table, same free list,
+    counters and peak — and yield each step's occupancy and fragmentation
+    as the properties read them; it stops before the first step whose
+    crossings exceed the free list.  Members may start with cached
+    positions past their next append (a table restored at a later
+    context), and the small window clamps growth mid-fold."""
+    import copy
+
+    folded, members, rng = _populated(seed, prefix_sharing, max_seq)
+    if not members:
+        return
+    rng.shuffle(members)
+    contexts = [max(0, folded.table(rid).cached_tokens - 1
+                    - rng.randint(0, 5)) for rid in members]
+    reference = copy.deepcopy(folded)
+    expected = []
+    for step in range(1, max_seq + 2):
+        targets = [min(ctx + step + 1, max_seq) for ctx in contexts]
+        crossings = sum(reference.blocks_missing(rid, target)
+                        for rid, target in zip(members, targets))
+        if crossings > len(reference._free):
+            break
+        for rid, target in zip(members, targets):
+            assert reference.allocate(rid, target)
+        expected.append((reference.occupancy_fraction,
+                         reference.internal_fragmentation_fraction))
+    limit = rng.randint(0, len(expected) + 1)
+    growth = folded.fold_growth(members, contexts)
+    # range first: zip must not advance the generator past the limit
+    got = [fractions for _, fractions in zip(range(limit), growth)]
+    growth.close()
+    assert got == expected[:limit]
+    # replay the reference up to the same step count for the state check
+    reference = _populated(seed, prefix_sharing, max_seq)[0]
+    for step in range(1, len(got) + 1):
+        for rid, ctx in zip(members, contexts):
+            assert reference.allocate(rid, min(ctx + step + 1, max_seq))
+    for rid in members:
+        assert folded.table(rid) == reference.table(rid)
+    assert folded._free == reference._free
+    assert folded._ref == reference._ref
+    assert (folded.allocated_tokens, folded.cached_tokens,
+            folded.peak_used_blocks) == (reference.allocated_tokens,
+                                         reference.cached_tokens,
+                                         reference.peak_used_blocks)
+    check_invariants(folded)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_prefix_claim_blocks_is_allocate_prefix_dry_run(seed):
+    """The admission gate's dry run must predict ``allocate_prefix``
+    exactly: it succeeds iff the claim fits the free pool, and then takes
+    exactly the claimed blocks out of it."""
+    manager, _, rng = _populated(seed, True)
+    for rid in range(100, 110):
+        ids = _prompt_ids(rng)
+        target = rng.randint(1, len(ids) + 8)
+        claim = manager.prefix_claim_blocks(target, ids)
+        free_before = manager.free_blocks
+        reused = manager.allocate_prefix(rid, target, ids)
+        assert (reused is not None) == (claim <= free_before)
+        if reused is not None:
+            assert free_before - manager.free_blocks == claim
+        check_invariants(manager)

@@ -82,10 +82,21 @@ class TestMultistepFolding:
         engine = TokenServingEngine(cluster="2x2n", max_batch_size=4)
         runs = engine._build_runtimes()
         assert all(r.allow_multistep for r in runs)
-        # paged KV and heterogeneous pools must keep it off
-        paged = TokenServingEngine(cluster="1x2n", kv_mode="paged",
+        # single-class paged pools fold in swap mode (the default); a
+        # recompute-mode victim re-enters the shared queue with no arrival
+        # to bound it, and heterogeneous pools route statefully, so both
+        # must keep it off
+        paged = TokenServingEngine(cluster="2x2n", kv_mode="paged",
                                    kv_budget_bytes=64 << 20)
-        assert not any(r.allow_multistep for r in paged._build_runtimes())
+        assert all(r.allow_multistep for r in paged._build_runtimes())
+        recompute = TokenServingEngine(cluster="2x2n", kv_mode="paged",
+                                       kv_budget_bytes=64 << 20,
+                                       preemption_mode="recompute")
+        assert not any(r.allow_multistep
+                       for r in recompute._build_runtimes())
+        hetero = TokenServingEngine(cluster="1x1n,1x2n", kv_mode="paged",
+                                    kv_budget_bytes=64 << 20)
+        assert not any(r.allow_multistep for r in hetero._build_runtimes())
         del trace
 
 
@@ -212,3 +223,42 @@ class TestIdleGapFolding:
             counts[multistep] = counter[0]
             monkeypatch.undo()
         assert counts[True] < 0.85 * counts[False], counts
+
+
+class TestPagedFolding:
+    """Paged swap-mode pools fold too: the records equal the per-step run
+    (the generated-config differential check lives in
+    ``tests/test_paged_fold_fuzz.py``), and folding must actually remove
+    events on a quiet paged trace, or that equality passes vacuously."""
+
+    @staticmethod
+    def _count_events(monkeypatch, multistep):
+        from repro.serving import engine as engine_module
+        from repro.workloads.traces import synthetic_trace
+        real_queue = engine_module.BucketedEventQueue
+        counter = [0]
+
+        class CountingQueue(real_queue):
+            def push(self, event):
+                counter[0] += 1
+                super().push(event)
+
+        monkeypatch.setattr(engine_module, "BucketedEventQueue",
+                            CountingQueue)
+        trace = synthetic_trace(200, seed=7, arrival_rate_per_s=0.5,
+                                mean_prefill=48, mean_decode=96)
+        engine = TokenServingEngine(cluster="4x2n", max_batch_size=4,
+                                    policy="fifo", kv_mode="paged",
+                                    multistep=multistep)
+        result = engine.run(trace)
+        monkeypatch.undo()
+        return counter[0], result
+
+    def test_paged_folding_removes_events(self, monkeypatch):
+        folded, (metrics_on, records_on) = self._count_events(
+            monkeypatch, True)
+        per_step, (metrics_off, records_off) = self._count_events(
+            monkeypatch, False)
+        assert records_on == records_off
+        _assert_summaries_match(metrics_on.summary(), metrics_off.summary())
+        assert folded * 5 <= per_step, (folded, per_step)

@@ -232,3 +232,15 @@ def test_kv_checker_rejects_duplicate_free_entry():
     with pytest.raises(SanitizerError) as excinfo:
         check_kv_invariants(manager)
     assert excinfo.value.check == "kv-free-list-unique"
+
+
+def test_kv_checker_rejects_counter_drift():
+    """The O(1) fragmentation counters must equal a full recount: drift
+    fails at the event that caused it, not as a wrong mean later."""
+    manager = _manager()
+    assert manager.allocate_prefix(1, 12, tuple(range(12))) is not None
+    check_kv_invariants(manager)
+    manager.cached_tokens += 1
+    with pytest.raises(SanitizerError) as excinfo:
+        check_kv_invariants(manager, event=("allocate", 1))
+    assert excinfo.value.check == "kv-counters"
