@@ -32,7 +32,9 @@ Scales: the 100k replay always runs; the 1M replay is opt-in via
 
 ``test_paged_fold_event_ceiling`` pins the exact number of events a
 small paged replay posts, so paged fast-forward folding cannot switch off
-silently (it would multiply the count by ~13).
+silently (it would multiply the count by ~13);
+``test_disagg_fold_event_ceiling`` does the same for a disaggregated
+prefill/decode pool (~7x).
 
 This file also measures the two parallel-path features of the sweep
 engine (see ``repro/serving/sweep.py``):
@@ -87,6 +89,15 @@ STREAMING_RSS_CEILING_FRACTION = 0.75
 #: paged KV (the per-step loop posts 134,899 — 67.4 per request).
 PAGED_FOLD_REQUESTS = 2_000
 PAGED_FOLD_EVENTS_CEILING = 10_605
+
+#: The disaggregated fold gate's pool and multi-turn trace, and the exact
+#: number of events (step completions plus handoffs) folding posts for
+#: them (the per-step loop posts 56,730 — 56.7 per request).
+DISAGG_FOLD_CONFIG = dict(cluster="2x2n:prefill,6x2n:decode",
+                          max_batch_size=8, policy="fifo", kv_mode="paged",
+                          kv_prefix_sharing=True, router="disaggregated")
+DISAGG_FOLD_REQUESTS = 1_000
+DISAGG_FOLD_EVENTS_CEILING = 7_637
 
 #: Sweep-scaling requirement from the perf trajectory: at 4 workers the
 #: 8-config sweep must run >= 3x faster than serial.  Only asserted when
@@ -325,16 +336,10 @@ def test_sweep_scaling():
 # paged fast-forward folding
 
 
-def test_paged_fold_event_ceiling(monkeypatch):
-    """Events per request on a small paged replay stay at the folded count.
-
-    The count is deterministic, so the ceiling is exact: any change that
-    makes a paged pool post more events (folding disabled by an
-    eligibility change, a growth cap that stops every fold early) fails
-    here rather than as a vague throughput drop.
-    """
+def _count_pushes(monkeypatch):
+    """Patch the engine's event queue to count pushed events; returns the
+    one-element counter list."""
     from repro.serving import engine as engine_module
-    from repro.workloads.traces import RequestTrace, synthetic_azure_trace
 
     pushed = [0]
     real_queue = engine_module.BucketedEventQueue
@@ -349,6 +354,21 @@ def test_paged_fold_event_ceiling(monkeypatch):
             super().push_many(batch)
 
     monkeypatch.setattr(engine_module, "BucketedEventQueue", CountingQueue)
+    return pushed
+
+
+def test_paged_fold_event_ceiling(monkeypatch):
+    """Events per request on a small paged replay stay at the folded count.
+
+    The count is deterministic, so the ceiling is exact: any change that
+    makes a paged pool post more events (folding disabled by an
+    eligibility change, a growth cap that stops every fold early) fails
+    here rather than as a vague throughput drop.
+    """
+    from repro.serving import engine as engine_module
+    from repro.workloads.traces import RequestTrace, synthetic_azure_trace
+
+    pushed = _count_pushes(monkeypatch)
     trace = RequestTrace(requests=list(synthetic_azure_trace(
         PAGED_FOLD_REQUESTS, seed=0, mean_rate_per_s=8.0,
         diurnal_amplitude=0.3)))
@@ -362,6 +382,25 @@ def test_paged_fold_event_ceiling(monkeypatch):
         f"{pushed[0]} events for {PAGED_FOLD_REQUESTS} paged requests "
         f"({pushed[0] / PAGED_FOLD_REQUESTS:.2f}/request); folding posts "
         f"at most {PAGED_FOLD_EVENTS_CEILING}")
+
+
+def test_disagg_fold_event_ceiling(monkeypatch):
+    """Events per request on a small disaggregated replay stay at the
+    folded count: prefill and decode instances fold under the role-aware
+    horizon, so the count is deterministic and the ceiling exact."""
+    from repro.serving import engine as engine_module
+    from repro.workloads.traces import multi_turn_trace
+
+    pushed = _count_pushes(monkeypatch)
+    trace = multi_turn_trace(DISAGG_FOLD_REQUESTS, seed=0,
+                             session_rate_per_s=0.5)
+    engine = engine_module.TokenServingEngine(**DISAGG_FOLD_CONFIG)
+    metrics, _ = engine.run(trace)
+    assert metrics.num_requests == DISAGG_FOLD_REQUESTS
+    assert pushed[0] <= DISAGG_FOLD_EVENTS_CEILING, (
+        f"{pushed[0]} events for {DISAGG_FOLD_REQUESTS} disaggregated "
+        f"requests ({pushed[0] / DISAGG_FOLD_REQUESTS:.2f}/request); "
+        f"folding posts at most {DISAGG_FOLD_EVENTS_CEILING}")
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,13 @@ class Router:
     def dispatch_order(self, candidates: List["InstanceRuntime"],
                        head: Optional["RequestState"]
                        ) -> List["InstanceRuntime"]:
-        """Order the instances at a step boundary for this event."""
+        """Order the instances at a step boundary for this event.
+
+        The engine only passes instances with something to do (the
+        completing one, and idle ones while requests wait or victims are
+        parked) and skips the call for a single candidate, so the order
+        must be a pure function of the candidates' state and the head —
+        as every built-in router's sort by :meth:`rank` is."""
         return sorted(candidates,
                       key=lambda r: (self.rank(r, head), r.instance_id))
 

@@ -63,6 +63,7 @@ node** (paged mode), and swap traffic is **bytes summed over all nodes**.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -154,6 +155,38 @@ def _is_id_sorted(records: List["ServedRequest"]) -> bool:
             return False
         prev = rid
     return True
+
+
+def _stall_report(missing: int, head: Optional[RequestState],
+                  runtimes: List[InstanceRuntime],
+                  gate: Optional[Callable[[InstanceRuntime, RequestState],
+                                          bool]]) -> str:
+    """The end-of-run stall error: how many requests never finished, the
+    blocked queue head (request id, lifecycle phase, the instance its KV
+    is pinned to) and why each instance refuses it."""
+    text = (f"engine stalled: {missing} requests never finished "
+            "(scheduler head permanently blocked)")
+    if head is None:
+        parked = [f"instance {r.instance_id} parks {len(r.parked)}"
+                  for r in runtimes if r.parked]
+        return f"{text}; the queue is empty; " + (", ".join(parked)
+                                                  or "nothing is parked")
+    reasons = []
+    for runtime in runtimes:
+        if not runtime.role_admits(head):
+            reason = f"role {runtime.role}"
+        elif gate is not None and not gate(runtime, head):
+            reason = "router veto"
+        elif len(runtime.batch) >= runtime.max_batch_size:
+            reason = "batch full"
+        elif not runtime.kv_admits(head):
+            reason = "KV"
+        else:
+            reason = "admits"
+        reasons.append(f"instance {runtime.instance_id}: {reason}")
+    return (f"{text}; head request {head.request.request_id} "
+            f"(phase {head.phase}, swapped_on {head.swapped_on}); "
+            + ", ".join(reasons))
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,10 +338,11 @@ class TokenServingEngine:
         Allow the event loop to fast-forward provably identical
         consecutive pure-decode steps into single events (see
         :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact — single-class pools, paged ones only
-        with ``preemption_mode="swap"`` — and produces bit-identical
-        timestamps there; the switch exists so equivalence tests can
-        compare against the one-event-per-step execution.
+        engaged where it is exact — paged pools with
+        ``preemption_mode="swap"`` of any shape, non-paged single-class
+        pools — and produces bit-identical timestamps there; the switch
+        exists so equivalence tests can compare against the
+        one-event-per-step execution.
     sanitize:
         Opt-in shadow validation (see :mod:`repro.sanitize`): re-verify
         event-time monotonicity, paged-KV block/refcount conservation and
@@ -526,17 +560,20 @@ class TokenServingEngine:
         """Fresh per-run instance runtimes, ids in spec order."""
         runtimes: List[InstanceRuntime] = []
         instance_id = 0
-        # fast-forwarding decode runs is only provably exact on
-        # single-class pools (the routers' dispatch_order is stateful, so
-        # skipped boundaries would diverge it).  A paged fold stops before
-        # its block growth could evict, but in recompute mode another
-        # instance's growth eviction puts its victim back in the shared
-        # queue with no arrival to bound it, where a skipped boundary would
-        # have admitted it; a swapped victim is pinned to its own instance
-        allow_multistep = (self.multistep
-                           and not self.cluster.is_heterogeneous
-                           and (not self._paged
-                                or self.preemption_mode == "swap"))
+        # A fold skips step boundaries, so it is exact only where no
+        # skipped boundary could have admitted anything.  A paged fold
+        # stops before its block growth could evict, but in recompute mode
+        # another instance's growth eviction puts its victim back in the
+        # shared queue with no arrival to bound it; a swapped victim is
+        # pinned to its own instance.  Swap-mode paged pools therefore
+        # fold whatever their classes: on a heterogeneous pool the fold is
+        # bounded by the role-aware horizon of :meth:`run`, and a busy
+        # instance is only dispatched at its own boundaries, where routers
+        # rank it as a pure function of its state.  Non-paged
+        # heterogeneous pools stay per-step.
+        allow_multistep = self.multistep and (
+            self.preemption_mode == "swap" if self._paged
+            else not self.cluster.is_heterogeneous)
         for (spec, class_system, controller, manager), caches in zip(
                 self._protos, self._caches):
             for _ in range(spec.count):
@@ -781,14 +818,50 @@ class TokenServingEngine:
 
             horizon_fn = _fold_horizon
 
+        # ---- role-aware fold horizon -------------------------------------
+        # On a heterogeneous swap-mode paged pool a fold starts with the
+        # queue empty.  Swap victims are pinned to the instance that
+        # evicted them, so only three events can later queue a request the
+        # folding instance could admit: a trace arrival, a handoff arrival,
+        # and the step completion of a busy prefill-role instance (which
+        # launches handoffs).  The earliest pending one bounds the fold.
+        handoffs_due: List[float] = []   # heap of pending handoff times
+        step_due = [0.0] * len(runtimes)   # pending completion, by id
+        if multi_class and runtimes[0].allow_multistep:
+            prefillers = [r for r in runtimes if r.role == "prefill"]
+
+            def _role_horizon(active: InstanceRuntime) -> float:
+                limit = next_arrival_t
+                if handoffs_due and handoffs_due[0] < limit:
+                    limit = handoffs_due[0]
+                for r in prefillers:
+                    if r.busy and r is not active:
+                        due = step_due[r.instance_id]
+                        if due < limit:
+                            limit = due
+                return limit
+
+            horizon_fn = _role_horizon
+
+        # ---- pending step completions, by time --------------------------
+        # A paged fold ends at the first boundary that coincides with
+        # another instance's pending step completion (instances running in
+        # lockstep keep their one-event-per-step order at equal times).
+        pending_due: Dict[float, int] = {}
+        track_due = self._paged and runtimes[0].allow_multistep
+
         def dispatch(runtime: InstanceRuntime, now: float) -> None:
             launch = runtime.dispatch(scheduler, now, gate=gate,
                                       horizon_s=next_arrival_t,
-                                      horizon_fn=horizon_fn)
+                                      horizon_fn=horizon_fn,
+                                      pending_times=pending_due)
             if launch is not None:
                 completes = launch.completes_at_s
                 if completes is None:
                     completes = now + launch.duration_s
+                step_due[runtime.instance_id] = completes
+                if track_due:
+                    pending_due[completes] = pending_due.get(completes, 0) + 1
                 push_event((completes, next(seq), _STEP_DONE,
                             launch.payload))
 
@@ -810,6 +883,17 @@ class TokenServingEngine:
                 if not (admitted and len(scheduler)):
                     return
 
+        # Heterogeneous pools.  ``settled``: with the queue empty, no
+        # dispatch can queue a request another instance could admit (an
+        # eviction needs a waiting head, or pins its swapped victim to the
+        # evicting instance), so an idle instance holding no parked victim
+        # would dispatch as a no-op and is not offered at all.  Recompute
+        # paged pools can queue an unpinned growth victim mid-pump.
+        # ``reoffer``: swap-mode paged pools repeat the idle pass while it
+        # admits (see :func:`pump`).
+        reoffer = self._paged and self.preemption_mode == "swap"
+        settled = reoffer or not self._paged
+
         def pump(completer: Optional[InstanceRuntime], now: float) -> None:
             """Offer the queue to every instance at a step boundary.
 
@@ -818,9 +902,17 @@ class TokenServingEngine:
             swap affinity can strand work on an idle instance — every idle
             instance (:func:`offer_idle`); arrivals offer to idle
             instances in id order.  Heterogeneous pools let the router
-            order all boundary instances (idle ones are always woken: a
-            vetoed head must be able to reach its preferred class the
-            moment it has a boundary).
+            order the completer and the idle instances (idle ones are
+            always woken while requests wait: a vetoed head must be able
+            to reach its preferred class the moment it has a boundary).
+            On swap-mode paged pools the idle instances are offered the
+            queue again, router-ordered, while a pass admitted and
+            requests still wait: an admission can bring a head an idle
+            instance would take (its own swapped victim, or one the
+            router's veto lets through) to the front after that instance
+            was passed over, and the repeated pass leaves no idle instance
+            able to admit the head, which is what makes the boundaries a
+            fold skips inert.
             """
             if not multi_class:
                 if completer is not None:
@@ -840,11 +932,39 @@ class TokenServingEngine:
                         if not runtime.busy:
                             dispatch(runtime, now)
                 return
-            candidates = [r for r in runtimes
-                          if r is completer or not r.busy]
-            for runtime in router.dispatch_order(candidates, scheduler.peek()):
-                if runtime is completer or not runtime.busy:
-                    dispatch(runtime, now)
+            while True:
+                if settled and not len(scheduler):
+                    candidates = [r for r in runtimes if r is completer
+                                  or (not r.busy and r.parked)]
+                else:
+                    candidates = [r for r in runtimes
+                                  if r is completer or not r.busy]
+                if len(candidates) > 1:
+                    # the rank keys are taken before any dispatch and the
+                    # order is total, so dropping no-op candidates keeps
+                    # the relative order of the rest
+                    candidates = router.dispatch_order(candidates,
+                                                       scheduler.peek())
+                admitted = False
+                for runtime in candidates:
+                    if runtime is completer:
+                        count = runtime.admission_count
+                        dispatch(runtime, now)
+                        admitted = (admitted
+                                    or runtime.admission_count != count)
+                    elif not runtime.busy:
+                        if not runtime.parked:
+                            # an idle instance's batch is empty: with
+                            # nothing parked it only ever acts on the head
+                            head = scheduler.peek()
+                            if (head is None
+                                    or runtime.refuses_outright(head, gate)):
+                                continue
+                        dispatch(runtime, now)
+                        admitted = admitted or runtime.busy
+                if not (reoffer and admitted and len(scheduler)):
+                    return
+                completer = None
 
         def launch_handoffs(runtime: InstanceRuntime, now: float) -> None:
             """Route every prompt the completed step finished on a
@@ -867,6 +987,7 @@ class TokenServingEngine:
                 state.swapped_on = target.instance_id
                 state.handoff_pending = True
                 batch.append((now + ready_s, next(seq), _HANDOFF, state))
+                heapq.heappush(handoffs_due, now + ready_s)
             if batch:
                 # one boundary's handoffs post together (they share the
                 # step's timestamp base and resolve buckets in one pass)
@@ -909,6 +1030,7 @@ class TokenServingEngine:
                 break
             now, _, kind, payload = pop_event()
             if kind == _HANDOFF:
+                heapq.heappop(handoffs_due)
                 lifecycle.transition(payload, "handoff_arrive")
                 scheduler.push(payload)
                 pump(None, now)
@@ -917,6 +1039,10 @@ class TokenServingEngine:
                                          payload.request.request_id, now))
             else:
                 runtime = payload[1]
+                if track_due:
+                    left = pending_due.pop(now) - 1
+                    if left:
+                        pending_due[now] = left
                 for state in runtime.complete_step(payload, now):
                     record(state, now)
                 if fast_completer:
@@ -939,9 +1065,9 @@ class TokenServingEngine:
 
         completed = len(records) if collector is None else collector.count
         if completed != num_arrivals:
-            raise RuntimeError(
-                f"engine stalled: {num_arrivals - completed} requests "
-                "never finished (scheduler head permanently blocked)")
+            raise RuntimeError(_stall_report(num_arrivals - completed,
+                                             scheduler.peek(), runtimes,
+                                             gate))
 
         self._save_pricing_caches()
         if collector is not None:

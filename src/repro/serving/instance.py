@@ -30,7 +30,7 @@ positions or blocks per node (KV), bytes summed over nodes (swap traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.paged_kv import PagedKVManager
@@ -267,8 +267,8 @@ class InstanceRuntime:
         self._transfer_cache: Dict[int, float] = (
             transfer_cache if transfer_cache is not None else {})
         #: Set by the engine when fast-forwarding batched decode steps is
-        #: provably identical to one-event-per-step execution (single-class
-        #: pools whose paged KV, if any, preempts by swapping; see
+        #: provably identical to one-event-per-step execution (paged pools
+        #: that preempt by swapping, non-paged single-class pools; see
         #: :meth:`dispatch`).
         self.allow_multistep = False
         #: True when every waiting request is trivially admissible here —
@@ -505,6 +505,23 @@ class InstanceRuntime:
         if self.role == "decode":
             return state.prefill_remaining == 0
         return True
+
+    def refuses_outright(self, state: RequestState,
+                         gate: Optional[Callable[["InstanceRuntime",
+                                                  RequestState], bool]]
+                         ) -> bool:
+        """Would the admission loop of :meth:`dispatch` stop at ``state``
+        on its cheap checks — serving role, a KV pin to another instance
+        (a swapped victim or a handed-off prompt), the router's veto?  An
+        idle instance with nothing parked then does nothing at all at a
+        boundary (preempting for a head needs a running batch), so the
+        engine need not dispatch it."""
+        if not self.role_admits(state):
+            return True
+        if (state.swapped_on is not None
+                and state.swapped_on != self.instance_id):
+            return True
+        return gate is not None and not gate(self, state)
 
     def kv_admits(self, state: RequestState) -> bool:
         """Does the instance's KV capacity admit ``state`` right now?
@@ -841,7 +858,8 @@ class InstanceRuntime:
     def _fold_paged(self, now: Seconds, limit: Seconds, duration: Seconds,
                     kind_attr: str, advancing: int, payload: Tuple,
                     members: Optional[List[RequestState]], context: Tokens,
-                    mixed: bool, prefill: Optional[RequestState]
+                    mixed: bool, prefill: Optional[RequestState],
+                    pending_times: Container[float]
                     ) -> Tuple[int, Optional[Seconds], Tuple]:
         """Fast-forward a paged pool's inert step run and record every
         folded step's statistics exactly as the per-step path would.
@@ -853,10 +871,15 @@ class InstanceRuntime:
         allocates each step's boundary crossings in step order and yields
         that step's occupancy and fragmentation, exactly as the per-step
         path reads them); an exclusive chunked prefill marches its prompt
-        chunk by chunk, with no growth at all.  Each step's statistics are
-        added one by one in step order from that step's integer block and
-        token counts, so every accumulator ends bit-identical to per-step
-        execution.
+        chunk by chunk, with no growth at all.  Either run also ends at
+        the first boundary that coincides with a pending step completion
+        of another instance (``pending_times``): the folded event takes
+        its sequence number now, so a fold running on past such a boundary
+        could overtake, at a later equal timestamp, a lockstep instance
+        that the one-event-per-step chain orders first.  Each step's
+        statistics are added one by one in step order from that step's
+        integer block and token counts, so every accumulator ends
+        bit-identical to per-step execution.
         Returns ``(steps, completes_at_s or None, payload)``.
         """
         kv = self.kv
@@ -895,7 +918,8 @@ class InstanceRuntime:
             cap = self.prefill_chunk_tokens
             done = state.prefill_done + total
             remaining = state.prefill_len - done
-            while remaining > 0 and t < limit:
+            while (remaining > 0 and t < limit
+                   and t not in pending_times):
                 c = cap if cap < remaining else remaining
                 d = self.prefill_chunk_latency_s(done, c)
                 t += d
@@ -919,7 +943,7 @@ class InstanceRuntime:
                 r = s.decode_len - s.decode_done
                 if r < kmax:
                     kmax = r
-            if steps < kmax and t < limit:
+            if steps < kmax and t < limit and t not in pending_times:
                 growth = kv.fold_growth(
                     [s.request.request_id for s in members],
                     [s.prefill_done + s.decode_done for s in members])
@@ -951,7 +975,8 @@ class InstanceRuntime:
                             shared_acc += shared * d
                         if occupancy > peak:
                             peak = occupancy
-                        if steps >= kmax or t >= limit:
+                        if (steps >= kmax or t >= limit
+                                or t in pending_times):
                             break
                 finally:
                     growth.close()
@@ -976,7 +1001,9 @@ class InstanceRuntime:
                                          bool]] = None,
                  horizon_s: Optional[Seconds] = None,
                  horizon_fn: Optional[Callable[["InstanceRuntime"], float]]
-                 = None) -> Optional[StepLaunch]:
+                 = None,
+                 pending_times: Container[float] = ()
+                 ) -> Optional[StepLaunch]:
         """Admit/preempt at a step boundary, then form the next step.
 
         ``gate`` is the cluster router's placement veto (None on
@@ -997,6 +1024,9 @@ class InstanceRuntime:
         launch carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
+        ``pending_times`` holds the completion times of the other
+        instances' pending steps; a paged fold ends at the first boundary
+        that coincides with one (see :meth:`_fold_paged`).
         """
         batch = self.batch
         max_batch = self.max_batch_size
@@ -1175,7 +1205,7 @@ class InstanceRuntime:
                     steps, completes_at, payload = self._fold_paged(
                         now, limit, duration, kind_attr, advancing,
                         payload, ff_members, ff_context, ff_mixed,
-                        ff_prefill)
+                        ff_prefill, pending_times)
                     replayed = True
             elif limit is not None and ff_prefill is not None:
                 # chunked exclusive prefill: successive chunks of the same

@@ -29,6 +29,7 @@ from repro.serving.cluster import (
     ClusterSpec,
     InstanceSpec,
     ROUTER_NAMES,
+    Router,
     make_router,
     parse_cluster_spec,
 )
@@ -407,6 +408,28 @@ class TestRouterPlacement:
                 per_instance.get(record.instance_id, 0) + 1
         assert len(per_instance) == 4  # nobody starved
         assert max(per_instance.values()) <= 3 * min(per_instance.values())
+
+    def test_stall_report_names_the_blocked_head(self):
+        """A router that vetoes every placement stalls the run; the error
+        names the blocked head and each instance's reason to refuse it."""
+
+        class VetoRouter(Router):
+            name = "veto"
+
+            def placement_ok(self, runtime, state):
+                return False
+
+        trace = bursty_trace(3, seed=0, mean_prefill=32, mean_decode=64)
+        engine = TokenServingEngine(cluster="1x2n:prefill,1x1n:decode",
+                                    kv_mode="paged", router=VetoRouter())
+        with pytest.raises(RuntimeError) as excinfo:
+            engine.run(trace)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "engine stalled: 3 requests never finished")
+        assert "head request 0 (phase queued, swapped_on None)" in message
+        assert message.endswith(
+            "instance 0: router veto, instance 1: role decode")
 
 
 class TestPerClassMetrics:

@@ -82,21 +82,25 @@ class TestMultistepFolding:
         engine = TokenServingEngine(cluster="2x2n", max_batch_size=4)
         runs = engine._build_runtimes()
         assert all(r.allow_multistep for r in runs)
-        # single-class paged pools fold in swap mode (the default); a
-        # recompute-mode victim re-enters the shared queue with no arrival
-        # to bound it, and heterogeneous pools route statefully, so both
-        # must keep it off
-        paged = TokenServingEngine(cluster="2x2n", kv_mode="paged",
-                                   kv_budget_bytes=64 << 20)
-        assert all(r.allow_multistep for r in paged._build_runtimes())
-        recompute = TokenServingEngine(cluster="2x2n", kv_mode="paged",
-                                       kv_budget_bytes=64 << 20,
-                                       preemption_mode="recompute")
-        assert not any(r.allow_multistep
-                       for r in recompute._build_runtimes())
-        hetero = TokenServingEngine(cluster="1x1n,1x2n", kv_mode="paged",
-                                    kv_budget_bytes=64 << 20)
-        assert not any(r.allow_multistep for r in hetero._build_runtimes())
+        # paged pools fold in swap mode (the default) whatever their
+        # classes: a swapped victim is pinned to its own instance, and on
+        # heterogeneous and role-tagged pools the role-aware horizon
+        # (arrivals, handoffs, prefill-role completions) bounds each fold.
+        # A recompute-mode victim re-enters the shared queue with no
+        # arrival to bound it, so recompute pools stay per-step, as do
+        # non-paged heterogeneous pools
+        def folds(cluster, **kwargs):
+            engine = TokenServingEngine(cluster=cluster, **kwargs)
+            flags = {r.allow_multistep for r in engine._build_runtimes()}
+            assert len(flags) == 1
+            return flags.pop()
+
+        paged = dict(kv_mode="paged", kv_budget_bytes=64 << 20)
+        recompute = dict(paged, preemption_mode="recompute")
+        for cluster in ("2x2n", "1x1n,1x2n", "1x2n:prefill,2x1n:decode"):
+            assert folds(cluster, **paged), cluster
+            assert not folds(cluster, **recompute), cluster
+        assert not folds("1x1n,1x2n")
         del trace
 
 
