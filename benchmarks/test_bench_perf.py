@@ -10,9 +10,12 @@ and peak RSS, in both metrics modes:
   straight off the generator.
 
 Each measurement runs in a fresh subprocess so peak RSS (``ru_maxrss``) and
-GC state describe that run alone.  Results are written to
-``BENCH_serving_perf.json`` at the repo root — CI uploads it as an artifact
-and the committed copy records the perf trajectory.
+GC state describe that run alone.  Results are written to the gitignored
+``.bench_build/BENCH_serving_perf.json`` (override the path with the
+``REPRO_BENCH_PERF_OUT`` environment variable) — CI uploads it as an
+artifact — so a plain test run never dirties the committed
+``BENCH_serving_perf.json`` at the repo root, which records the perf
+trajectory and is edited by hand or by ``--refresh-seed``.
 
 Reference floors live in the committed JSON, not in this file: the
 ``seed`` section records the pre-optimization engine's rate and exact
@@ -24,8 +27,8 @@ exact: the optimized engine must simulate the *same* system, bit for
 bit, at any speed.  ``pytest --refresh-seed`` re-measures the reference
 numbers on the current box via the engine's compatibility path
 (``multistep=False``, the closest living stand-in for the seed engine's
-per-step loop) and rewrites the ``seed`` section; by default the
-committed floors are trusted as-is.
+per-step loop) and rewrites the committed ``seed`` section; by default
+the committed floors are trusted as-is.
 
 Scales: the 100k replay always runs; the 1M replay is opt-in via
 ``RUN_PERF_1M=1`` (it takes ~a minute per mode).
@@ -34,7 +37,10 @@ Scales: the 100k replay always runs; the 1M replay is opt-in via
 small paged replay posts, so paged fast-forward folding cannot switch off
 silently (it would multiply the count by ~13);
 ``test_disagg_fold_event_ceiling`` does the same for a disaggregated
-prefill/decode pool (~7x).
+prefill/decode pool (~7x).  ``test_paged_fold_ledger_ceiling`` pins the
+number of step-ledger tallies the same paged replay makes: a fold tallies
+once per price window, so falling back to per-step statistics work would
+multiply it.
 
 This file also measures the two parallel-path features of the sweep
 engine (see ``repro/serving/sweep.py``):
@@ -62,7 +68,11 @@ import pytest
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
+#: The committed trajectory: source of the seed floors.
 BENCH_JSON = os.path.join(_ROOT, "BENCH_serving_perf.json")
+#: Where a run writes its measurements (never the committed copy).
+BENCH_OUT = os.environ.get("REPRO_BENCH_PERF_OUT") or os.path.join(
+    _ROOT, ".bench_build", "BENCH_serving_perf.json")
 
 #: The pinned replay workload and pool (chosen so the pool runs busy but
 #: unsaturated: queueing happens, batches form, nothing diverges).
@@ -89,6 +99,11 @@ STREAMING_RSS_CEILING_FRACTION = 0.75
 #: paged KV (the per-step loop posts 134,899 — 67.4 per request).
 PAGED_FOLD_REQUESTS = 2_000
 PAGED_FOLD_EVENTS_CEILING = 10_605
+
+#: The exact number of step-ledger tallies (``InstanceStats.add`` calls)
+#: the same paged replay makes: one per price window of a fold, one per
+#: unfolded step (the per-step loop makes 134,894 — one per step).
+PAGED_FOLD_TALLIES_CEILING = 14_699
 
 #: The disaggregated fold gate's pool and multi-turn trace, and the exact
 #: number of events (step completions plus handoffs) folding posts for
@@ -150,8 +165,18 @@ def _load_doc() -> dict:
         return json.load(handle)
 
 
-def _write_doc(doc: dict) -> None:
-    with open(BENCH_JSON, "w") as handle:
+def _load_report() -> dict:
+    """The measurement report so far: this run's earlier sections on top
+    of the committed document (so every section survives a partial run)."""
+    if not os.path.exists(BENCH_OUT):
+        return _load_doc()
+    with open(BENCH_OUT) as handle:
+        return json.load(handle)
+
+
+def _write_doc(doc: dict, path: str = BENCH_OUT) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
         json.dump(doc, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
@@ -170,30 +195,35 @@ def _measure(num_requests: int, mode: str, multistep: bool = True) -> dict:
     return json.loads(proc.stdout)
 
 
-def _refresh_seed_floor(doc: dict, scale: str) -> None:
+def _refresh_seed_floor(scale: str) -> dict:
     """Re-measure the reference floor for ``scale`` on this box using the
     engine's compatibility path (``multistep=False``) and rewrite the
-    ``seed`` section.  The historical seed engine is gone; the per-step
-    compatibility loop is its closest living stand-in and produces the
-    same (conservative) order of magnitude."""
+    committed ``seed`` section; returns the new floor.  The historical
+    seed engine is gone; the per-step compatibility loop is its closest
+    living stand-in and produces the same (conservative) order of
+    magnitude."""
     report = _measure(int(scale), "full", multistep=False)
-    doc.setdefault("seed", {})[scale] = {
+    floor = {
         "requests_per_s": round(report["requests_per_s"], 2),
         "wall_s": round(report["wall_s"], 3),
         "peak_rss_mib": round(report["peak_rss_mib"], 2),
         "makespan_s": report["makespan_s"],
     }
-    _write_doc(doc)
+    committed = _load_doc()
+    committed.setdefault("seed", {})[scale] = floor
+    _write_doc(committed, BENCH_JSON)
+    return floor
 
 
-def _merge_results(doc: dict, scale: str, results: dict) -> dict:
-    """Fold one scale's measurements into ``BENCH_serving_perf.json``,
-    preserving every other section (committed 1M numbers survive a CI run
-    that only re-measures 100k; the ``sweep`` and ``pricing_cache``
-    sections survive a replay-only run)."""
+def _merge_results(seed: dict, scale: str, results: dict) -> dict:
+    """Fold one scale's measurements into the report, preserving every
+    other section (committed 1M numbers survive a run that only
+    re-measures 100k; the ``sweep`` and ``pricing_cache`` sections
+    survive a replay-only run)."""
+    doc = _load_report()
     doc["config"] = BENCH_CONFIG
+    doc.setdefault("seed", {})[scale] = seed
     doc.setdefault("optimized", {})[scale] = results
-    seed = doc["seed"][scale]
     doc.setdefault("speedup_x", {})[scale] = {
         mode: round(report["requests_per_s"] / seed["requests_per_s"], 2)
         for mode, report in results.items()}
@@ -202,13 +232,11 @@ def _merge_results(doc: dict, scale: str, results: dict) -> dict:
 
 
 def _check_scale(scale: str, refresh_seed: bool) -> dict:
-    doc = _load_doc()
-    if refresh_seed:
-        _refresh_seed_floor(doc, scale)
-    seed = doc["seed"][scale]
+    seed = (_refresh_seed_floor(scale) if refresh_seed
+            else _load_doc()["seed"][scale])
     n = int(scale)
     results = {mode: _measure(n, mode) for mode in ("full", "streaming")}
-    doc = _merge_results(doc, scale, results)
+    doc = _merge_results(seed, scale, results)
 
     # the optimized engine must simulate the same system, bit for bit:
     # any speed is worthless if the simulated clock drifts
@@ -320,7 +348,7 @@ def test_sweep_scaling():
         "configs_per_hour": round(len(jobs) / serial_wall * 3600.0, 1),
     }
 
-    doc = _load_doc()
+    doc = _load_report()
     doc["sweep"] = section
     _write_doc(doc)
 
@@ -382,6 +410,38 @@ def test_paged_fold_event_ceiling(monkeypatch):
         f"{pushed[0]} events for {PAGED_FOLD_REQUESTS} paged requests "
         f"({pushed[0] / PAGED_FOLD_REQUESTS:.2f}/request); folding posts "
         f"at most {PAGED_FOLD_EVENTS_CEILING}")
+
+
+def test_paged_fold_ledger_ceiling(monkeypatch):
+    """Step-ledger tallies on the paged fold gate's replay stay at the
+    folded count.  A fold tallies each price window once, so a change that
+    falls back to per-step statistics work inside folds (one tally per
+    folded step) fails here, deterministically, without any wall-clock
+    timing."""
+    from repro.serving import engine as engine_module
+    from repro.serving.instance import InstanceStats
+    from repro.workloads.traces import RequestTrace, synthetic_azure_trace
+
+    tallies = [0]
+    real_add = InstanceStats.add
+
+    def counting_add(self, *args):
+        tallies[0] += 1
+        real_add(self, *args)
+
+    monkeypatch.setattr(InstanceStats, "add", counting_add)
+    trace = RequestTrace(requests=list(synthetic_azure_trace(
+        PAGED_FOLD_REQUESTS, seed=0, mean_rate_per_s=8.0,
+        diurnal_amplitude=0.3)))
+    engine = engine_module.TokenServingEngine(
+        cluster=BENCH_CONFIG["cluster"],
+        max_batch_size=BENCH_CONFIG["max_batch_size"],
+        policy=BENCH_CONFIG["policy"], kv_mode="paged")
+    metrics, _ = engine.run(trace)
+    assert metrics.num_requests == PAGED_FOLD_REQUESTS
+    assert tallies[0] <= PAGED_FOLD_TALLIES_CEILING, (
+        f"{tallies[0]} ledger tallies for {PAGED_FOLD_REQUESTS} paged "
+        f"requests; folding tallies at most {PAGED_FOLD_TALLIES_CEILING}")
 
 
 def test_disagg_fold_event_ceiling(monkeypatch):
@@ -446,7 +506,7 @@ def test_pricing_cache_warm_vs_cold(tmp_path):
         f"warm pricing cache ({warm_wall:.3f}s) was not faster than the "
         f"cold run ({cold_wall:.3f}s)")
 
-    doc = _load_doc()
+    doc = _load_report()
     doc["pricing_cache"] = {
         "num_requests": len(trace.requests),
         "context_bucket": 1,

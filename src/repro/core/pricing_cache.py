@@ -18,10 +18,13 @@ Design points:
   for the KV transfer geometry.  A file whose embedded fingerprint (or
   format version) does not match the requesting configuration is
   ignored and will be rebuilt — never trusted.
-* **Corruption-safe.**  Any failure to read, parse, or validate a cache
-  file degrades to a cold start.  Writes go through a temp file +
-  :func:`os.replace` so a crashed writer can never leave a torn file
-  under the canonical name.
+* **Corruption-safe, and loud about it.**  Any failure to read, parse,
+  or validate a cache file degrades to a cold start, but never a silent
+  one: the rejection's reason is kept in
+  :attr:`PricingCacheStore.last_rejection` and a :class:`RuntimeWarning`
+  names the file and the reason (a missing file is the one quiet, normal
+  cold start).  Writes go through a temp file + :func:`os.replace` so a
+  crashed writer can never leave a torn file under the canonical name.
 * **Bit-exact.**  Entries are stored as JSON numbers; Python's JSON
   round-trips floats exactly (``repr``-based shortest form), so a warm
   run reproduces the cold run's timestamps bit for bit.
@@ -38,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -86,42 +90,63 @@ class PricingCacheStore:
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
+        #: Why the last :meth:`load` refused its file (None after a good
+        #: load or a missing file).
+        self.last_rejection: Optional[str] = None
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / f"pricing-v{VERSION}-{fingerprint[:16]}.json"
 
     # ------------------------------------------------------------------
     def load(self, fingerprint: str) -> Optional[PricingTables]:
-        """Load the tables for ``fingerprint``; ``None`` on any mismatch.
-
-        Stale version, wrong fingerprint, unreadable file, malformed
-        JSON, or malformed table entries all return ``None`` — the
-        caller rebuilds from scratch rather than trusting the file.
-        """
+        """Load the tables for ``fingerprint``; ``None`` when there are none
+        to trust.  A missing file is a normal cold start; any other
+        failure is a *rejection*: :attr:`last_rejection` says why and a
+        :class:`RuntimeWarning` names the file and the reason."""
         path = self.path_for(fingerprint)
+        self.last_rejection = None
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            if not isinstance(doc, dict):
-                return None
-            if doc.get("version") != VERSION:
-                return None
-            if doc.get("fingerprint") != fingerprint:
-                return None
-            tables = []
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as err:
+            return self._reject(path, f"unreadable file ({err})")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as err:
+            # a torn write leaves a prefix of valid JSON: the parser runs
+            # out of input, mid-value or mid-string
+            torn = (err.pos >= len(text.rstrip())
+                    or err.msg.startswith("Unterminated string"))
+            return self._reject(path, "torn file (the JSON ends early)"
+                                if torn else "malformed JSON")
+        if not isinstance(doc, dict):
+            return self._reject(path, "malformed JSON (not an object)")
+        if doc.get("version") != VERSION:
+            return self._reject(path, f"stale version {doc.get('version')!r}"
+                                      f" (this build reads {VERSION})")
+        if doc.get("fingerprint") != fingerprint:
+            return self._reject(path, "foreign fingerprint")
+        tables = []
+        try:
             for name, arity in zip(_TABLE_NAMES, _KEY_ARITY):
                 table: Dict[Any, float] = {}
                 for entry in doc["tables"][name]:
                     *key_parts, value = entry
                     if len(key_parts) != arity:
-                        return None
+                        raise ValueError(f"{name} key arity")
                     key = (int(key_parts[0]) if arity == 1
                            else tuple(int(part) for part in key_parts))
                     table[key] = float(value)
                 tables.append(table)
-        except (OSError, ValueError, TypeError, KeyError):
-            return None
+        except (ValueError, TypeError, KeyError):
+            return self._reject(path, "malformed table entries")
         return (tables[0], tables[1], tables[2], tables[3])
+
+    def _reject(self, path: Path, reason: str) -> None:
+        self.last_rejection = reason
+        warnings.warn(f"pricing cache {path} rejected: {reason}; "
+                      "starting cold", RuntimeWarning, stacklevel=3)
 
     def save(self, fingerprint: str, tables: PricingTables) -> None:
         """Atomically write ``tables`` under ``fingerprint``.

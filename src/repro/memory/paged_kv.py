@@ -44,12 +44,10 @@ unless suffixed ``_total``, and all transfer times are seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -166,6 +164,9 @@ class PagedKVManager:
         #: Total device blocks in the pool (per node; every node holds its
         #: head-share of each block, so the count is uniform across nodes).
         self.total_blocks = capacity_tokens // self.block_size_tokens
+        #: Free block ids, popped from the end.  Besides :meth:`allocate`,
+        #: ``InstanceRuntime._fold_decode`` takes a folded decode run's
+        #: crossing blocks from it, step-major in batch order.
         self._free: List[int] = list(range(self.total_blocks - 1, -1, -1))
         self._tables: Dict[int, BlockTable] = {}
         # prefix-sharing state (all empty and untouched when the flag is off)
@@ -316,12 +317,16 @@ class PagedKVManager:
         the missing blocks — the caller must preempt someone and retry.
         """
         table = self._tables.get(request_id)
-        if table is not None and table.is_swapped:
+        if table is not None and table.host_blocks > 0:
             raise RuntimeError(
                 f"request {request_id} is swapped out; swap_in() it first")
+        if target_tokens < 0:
+            raise ValueError("negative token count")
+        # blocks_needed and is_swapped inlined: this runs at every decode
+        # step boundary of every batch member
         held = 0 if table is None else len(table.device_blocks)
-        missing = self.blocks_needed(target_tokens) - held
-        if missing > self.free_blocks:
+        missing = -(-target_tokens // self.block_size_tokens) - held
+        if missing > 0 and missing > self.free_blocks:
             return False
         if table is None:
             table = self._tables[request_id] = BlockTable(request_id)
@@ -335,109 +340,13 @@ class PagedKVManager:
                 for _ in range(missing):
                     table.device_blocks.append(self._free.pop())
             self.allocated_tokens += missing * self.block_size_tokens
+            # only a call that takes blocks can raise the peak
+            self.peak_used_blocks = max(self.peak_used_blocks,
+                                        self.used_blocks)
         if target_tokens > table.cached_tokens:
             self.cached_tokens += target_tokens - table.cached_tokens
             table.cached_tokens = target_tokens
-        self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         return True
-
-    def fold_growth(self, request_ids: Sequence[int],
-                    contexts: Sequence[Tokens]
-                    ) -> Iterator[Tuple[float, float]]:
-        """Grow the tables of a decode run folded into one event, one step
-        per ``next()``, yielding that step's ``(occupancy_fraction,
-        internal_fragmentation_fraction)``.
-
-        Member ``j`` (``request_ids[j]``) entered step 0 at context
-        ``contexts[j]`` and already holds step 0's blocks; step ``i``
-        appends position ``contexts[j] + i + 1`` (clamped to the context
-        window).  Each ``next()`` applies the following step's growth
-        exactly as per-step :meth:`allocate` calls would — block-boundary
-        crossings take blocks from the free list in batch order, so every
-        table gets the block ids the per-step path would give it — and
-        yields the two fractions from the same integer counts the
-        properties divide, so each is the float the per-step path reads.
-        The generator stops *before* the first step whose crossings exceed
-        the free list: a fold never reclaims cached prefix blocks, so the
-        shared fraction and the prefix index stay constant inside it.
-        ``close()`` writes back the tables' cached positions and the
-        token counters (the generator keeps them in locals); call it
-        before anything else reads the pool.
-        """
-        size = self.block_size_tokens
-        max_seq = self.layout.max_seq_len
-        total = self.total_blocks
-        tables = [self._tables[rid] for rid in request_ids]
-        free = self._free
-        sharing = self.prefix_sharing
-        # heap of (step, batch index): the next block-boundary crossing of
-        # each member, popped step-major in batch order
-        crossings: List[Tuple[int, int]] = []
-        # (step, change) of the number of members whose cached positions
-        # grow: from the first target past the table's cached count until
-        # the window clamps; popped from the end
-        rate_changes: List[Tuple[int, int]] = []
-        for j, (table, ctx) in enumerate(zip(tables, contexts)):
-            held_tokens = len(table.device_blocks) * size
-            if held_tokens < max_seq:
-                # position held_tokens + 1 needs a block: appended at step
-                # held_tokens - ctx
-                crossings.append((held_tokens - ctx, j))
-            start = max(1, table.cached_tokens - ctx)
-            stop = max_seq - ctx
-            if start < stop:
-                rate_changes.append((start, 1))
-                rate_changes.append((stop, -1))
-        heapify(crossings)
-        rate_changes.sort(reverse=True)
-        never = max_seq + 1  # later than any step can grow
-        next_cross = crossings[0][0] if crossings else never
-        next_change = rate_changes[-1][0] if rate_changes else never
-        start_cached = [table.cached_tokens for table in tables]
-        allocated = self.allocated_tokens
-        cached = self.cached_tokens
-        occupancy = self.occupancy_fraction
-        rate = 0
-        step = applied = 0
-        try:
-            while True:
-                step += 1
-                if step == next_cross:
-                    taking: List[int] = []
-                    while crossings and crossings[0][0] == step:
-                        taking.append(heappop(crossings)[1])
-                    if len(taking) > len(free):
-                        return
-                    for j in taking:
-                        table = tables[j]
-                        block = free.pop()
-                        if sharing:
-                            self._ref[block] = 1
-                        table.device_blocks.append(block)
-                        if len(table.device_blocks) * size < max_seq:
-                            heappush(crossings, (step + size, j))
-                    next_cross = crossings[0][0] if crossings else never
-                    allocated += len(taking) * size
-                    used = self.used_blocks
-                    if used > self.peak_used_blocks:
-                        self.peak_used_blocks = used
-                    occupancy = used / total
-                if step == next_change:
-                    while rate_changes and rate_changes[-1][0] == step:
-                        rate += rate_changes.pop()[1]
-                    next_change = (rate_changes[-1][0] if rate_changes
-                                   else never)
-                cached += rate
-                applied = step
-                yield occupancy, 1.0 - cached / allocated
-        finally:
-            self.allocated_tokens = allocated
-            self.cached_tokens = cached
-            if applied:
-                for table, ctx, start_count in zip(tables, contexts,
-                                                   start_cached):
-                    table.cached_tokens = max(
-                        start_count, min(ctx + applied + 1, max_seq))
 
     def free(self, request_id: int) -> int:
         """Release every block (device and host) a request holds; returns
@@ -793,3 +702,4 @@ class PagedKVManager:
                     f"request {request.request_id} needs {needed} KV blocks "
                     f"at full context but the pool only has "
                     f"{self.total_blocks}")
+

@@ -514,9 +514,10 @@ class TokenServingEngine:
         self._pricing_store: Optional[PricingCacheStore] = None
         self._pricing_fps: List[str] = []
         self._pricing_loaded_counts: List[Tuple[int, int, int, int]] = []
-        #: entries loaded from / saved to the persistent pricing cache
-        #: (diagnostics for tests and benchmarks)
-        self.pricing_cache_stats: Dict[str, int] = {"loaded": 0, "saved": 0}
+        #: entries loaded from / tables saved to the persistent pricing
+        #: cache, and cache files it rejected (each also warns)
+        self.pricing_cache_stats: Dict[str, int] = {
+            "loaded": 0, "saved": 0, "rejected": 0}
         if pricing_cache is not None:
             store = (pricing_cache
                      if isinstance(pricing_cache, PricingCacheStore)
@@ -529,6 +530,8 @@ class TokenServingEngine:
                 fp = config_fingerprint(class_system.config, probe)
                 self._pricing_fps.append(fp)
                 loaded = store.load(fp)
+                if store.last_rejection is not None:
+                    self.pricing_cache_stats["rejected"] += 1
                 if loaded is not None:
                     for table, warm in zip(caches, loaded):
                         table.update(warm)
@@ -873,11 +876,13 @@ class TokenServingEngine:
             idle instance's own victim to the head after that instance
             was passed over; repeating the pass leaves every idle instance
             refusing the current head, which is what makes the boundaries
-            a fast-forward skips provably inert."""
+            a fast-forward skips provably inert.  An idle instance with
+            nothing parked does nothing once the queue is empty, so it is
+            not dispatched."""
             while True:
                 admitted = False
                 for runtime in runtimes:
-                    if not runtime.busy:
+                    if not runtime.busy and (runtime.parked or len(scheduler)):
                         dispatch(runtime, now)
                         admitted = admitted or runtime.busy
                 if not (admitted and len(scheduler)):
@@ -1101,13 +1106,14 @@ class TokenServingEngine:
         """The :class:`ServingMetrics` fields full and streaming assembly
         share: pool shape, step accounting and the KV, swap, handoff and
         prefix counters (all exact in both modes).  Pool-wide time
-        aggregates are the runtimes' own sums added in instance-id order,
-        so they do not depend on how steps interleave across instances
-        (or on which of them folded)."""
+        aggregates are the runtimes' own ledger prices added in
+        instance-id order, so they do not depend on how steps interleave
+        across instances (or on which of them folded)."""
         pool_time = makespan * self.num_instances
+        times = [r.stats.times() for r in runtimes]
 
         def total(attr: str) -> float:
-            return sum(getattr(r.stats, attr) for r in runtimes)
+            return sum(t[attr] for t in times)
 
         busy_time = total("busy_time")
         managers = self.last_kv_managers
@@ -1230,15 +1236,16 @@ class TokenServingEngine:
         out: List[InstanceClassMetrics] = []
         for label, group in by_label.items():
             class_time = makespan * len(group)
+            times = [r.stats.times() for r in group]
             out.append(InstanceClassMetrics(
                 label=label,
                 num_instances=len(group),
                 num_nodes=group[0].num_nodes,
                 role=group[0].role,
                 makespan_s=makespan,
-                busy_time_s=sum(r.stats.busy_time for r in group),
-                batch_time_s=sum(r.stats.batch_time for r in group),
-                mean_kv_occupancy=(sum(r.stats.kv_occ_time for r in group)
+                busy_time_s=sum(t["busy_time"] for t in times),
+                batch_time_s=sum(t["batch_time"] for t in times),
+                mean_kv_occupancy=(sum(t["kv_occ_time"] for t in times)
                                    / class_time if class_time > 0 else 0.0),
                 peak_kv_occupancy=max(
                     (r.stats.peak_kv_occupancy for r in group), default=0.0),

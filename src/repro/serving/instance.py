@@ -134,28 +134,80 @@ class RequestState:
         self.decode_done = 0
 
 
+#: Step kinds of the ledger, each priced into its own time aggregate.
+STEP_KINDS = ("decode_time", "prefill_time", "mixed_time")
+#: Ledger kind of the swap transfers serialized ahead of a step: priced
+#: into the busy and occupancy aggregates, not into a step kind's.
+SWAP_KIND = "swap"
+
+
 @dataclass
 class InstanceStats:
-    """Time-weighted occupancy accumulators for one instance.  Every step
-    adds to its own instance's copy only; the engine sums the runtimes'
-    copies in instance-id order for pool totals and per class for the
-    per-class metrics."""
+    """Step accounting for one instance; the engine sums the runtimes'
+    copies in instance-id order for pool totals and per class.
 
-    batch_time: float = 0.0      # Σ advancing requests × step seconds
-    busy_time: float = 0.0       # Σ step seconds
-    kv_occ_time: float = 0.0     # Σ occupancy fraction × step seconds
+    The integer ledger is keyed by a step's exact price: its kind (one of
+    :data:`STEP_KINDS`) and its memoized seconds, plus a
+    :data:`SWAP_KIND` entry for the swap seconds serialized ahead of it.
+    Per key it tallies steps, Σ advancing requests, Σ used and Σ shared
+    KV blocks.  :meth:`times` prices it as Σ price × tally in sorted key
+    order, so a fold that tallies once per price window and the per-step
+    engine produce the same integers, hence the same floats.
+    Fragmentation, a ratio with a varying denominator, stays one float
+    add per step in step order (:attr:`frag_time`).
+    """
+
+    total_blocks: Blocks = 0     # KV pool size (0 without paged KV)
+    #: kind -> price -> [steps, Σ advancing, Σ used blocks, Σ shared blocks]
+    ledger: Dict[str, Dict[float, List[int]]] = field(
+        default_factory=lambda: {kind: {} for kind in
+                                 STEP_KINDS + (SWAP_KIND,)})
     frag_time: float = 0.0       # Σ fragmentation fraction × step seconds
-    shared_kv_time: float = 0.0  # Σ shared/cached block fraction × step secs
     peak_kv_occupancy: float = 0.0
     swap_time_s: Seconds = 0.0     # Σ PCIe transfer seconds spent swapping
     prefill_tokens: Tokens = 0      # prompt tokens computed (recomputes count)
-    decode_time: float = 0.0     # Σ pure-decode step seconds
-    prefill_time: float = 0.0    # Σ pure-prefill step seconds
-    mixed_time: float = 0.0      # Σ mixed prefill+decode step seconds
     # prefill→decode handoffs (disaggregated clusters)
     handoff_out_count: int = 0   # prompts exported to a decode instance
     handoff_in_count: int = 0    # handed-off prompts resumed here
     handoff_time_s: Seconds = 0.0  # Σ PCIe seconds of handoff transfers
+
+    def add(self, kind: str, price: Seconds, steps: int, advancing: int,
+            used: Blocks, shared: Blocks) -> None:
+        """Tally ``steps`` steps of one price (the sums are over them)."""
+        prices = self.ledger[kind]
+        tally = prices.get(price)
+        if tally is None:
+            prices[price] = [steps, advancing, used, shared]
+        else:
+            tally[0] += steps
+            tally[1] += advancing
+            if used:
+                tally[2] += used
+                tally[3] += shared
+
+    def times(self) -> Dict[str, float]:
+        """The time aggregates, priced from the ledger: ``busy_time``
+        (Σ step seconds, swaps included), ``batch_time`` (× advancing
+        requests), ``kv_occ_time`` and ``shared_kv_time`` (× used and
+        shared fractions of the pool), the per-kind step seconds of
+        :data:`STEP_KINDS`, plus :attr:`frag_time` and
+        :attr:`swap_time_s`."""
+        out = dict.fromkeys(("busy_time", "batch_time", "kv_occ_time",
+                             "shared_kv_time") + STEP_KINDS, 0.0)
+        total = self.total_blocks
+        for kind, prices in self.ledger.items():
+            for price in sorted(prices):
+                steps, advancing, used, shared = prices[price]
+                if kind != SWAP_KIND:
+                    out[kind] += price * steps
+                out["busy_time"] += price * steps
+                out["batch_time"] += price * advancing
+                if total:
+                    out["kv_occ_time"] += price * used / total
+                    out["shared_kv_time"] += price * shared / total
+        out["frag_time"] = self.frag_time
+        out["swap_time_s"] = self.swap_time_s
+        return out
 
 
 @dataclass
@@ -295,7 +347,8 @@ class InstanceRuntime:
         #: cached_tokens, transfer_s)`` records the engine drains via
         #: :meth:`take_handoffs` and turns into handoff events.
         self.pending_handoffs: List[Tuple[RequestState, int, float]] = []
-        self.stats = InstanceStats()
+        self.stats = InstanceStats(
+            total_blocks=kv.total_blocks if kv is not None else 0)
 
     # ------------------------------------------------------------------
     # step timing (memoized cycle-model evaluations)
@@ -802,12 +855,14 @@ class InstanceRuntime:
         """Paged mode, before a pure decode step: every batch member
         needs a block slot for the token position it is about to
         append."""
-        max_seq = self.kv.layout.max_seq_len
+        kv = self.kv
+        max_seq = kv.layout.max_seq_len
         for state in list(self.batch):
             if state not in self.batch:
                 continue  # already evicted to make room
-            self._grow_to(state, min(state.context_len + 1, max_seq), now,
-                          scheduler)
+            target = min(state.context_len + 1, max_seq)
+            if not kv.allocate(state.request.request_id, target):
+                self._grow_to(state, target, now, scheduler)
 
     def _plan_mixed_step(self) -> Tuple[List[RequestState],
                                         List[Tuple[RequestState, int]]]:
@@ -855,143 +910,221 @@ class InstanceRuntime:
             if not evicted:
                 return decoders, chunks
 
-    def _fold_paged(self, now: Seconds, limit: Seconds, duration: Seconds,
-                    kind_attr: str, advancing: int, payload: Tuple,
-                    members: Optional[List[RequestState]], context: Tokens,
-                    mixed: bool, prefill: Optional[RequestState],
-                    pending_times: Container[float]
-                    ) -> Tuple[int, Optional[Seconds], Tuple]:
-        """Fast-forward a paged pool's inert step run and record every
-        folded step's statistics exactly as the per-step path would.
-
-        ``duration`` is the first step's price (already planned, its
-        blocks already allocated).  A decode run extends while no member
-        finishes, the boundary stays before ``limit`` and the run's block
-        growth fits the free list (:meth:`PagedKVManager.fold_growth`
-        allocates each step's boundary crossings in step order and yields
-        that step's occupancy and fragmentation, exactly as the per-step
-        path reads them); an exclusive chunked prefill marches its prompt
-        chunk by chunk, with no growth at all.  Either run also ends at
-        the first boundary that coincides with a pending step completion
-        of another instance (``pending_times``): the folded event takes
-        its sequence number now, so a fold running on past such a boundary
-        could overtake, at a later equal timestamp, a lockstep instance
-        that the one-event-per-step chain orders first.  Each step's
-        statistics are added one by one in step order from that step's
-        integer block and token counts, so every accumulator ends
-        bit-identical to per-step execution.
-        Returns ``(steps, completes_at_s or None, payload)``.
-        """
+    def _record(self, kind: str, price: Seconds, pending: Seconds,
+                advancing: int) -> None:
+        """Tally one unfolded step in the ledger, with its fragmentation
+        and occupancy read off a paged pool."""
         kv = self.kv
         stats = self.stats
-        time_acc = getattr(stats, kind_attr)
-        batch_acc = stats.batch_time
-        busy_acc = stats.busy_time
-        occ_acc = stats.kv_occ_time
-        frag_acc = stats.frag_time
-        shared_acc = stats.shared_kv_time
-        peak = stats.peak_kv_occupancy
-        sharing = kv.prefix_sharing
-        # the fold never reclaims cached prefix blocks, so the shared
-        # fraction is the same at every step
-        shared = kv.shared_block_fraction if sharing else 0.0
-        occupancy = kv.occupancy_fraction
-        frag = kv.internal_fragmentation_fraction
-        # step 0, priced and planned by the caller
-        time_acc += duration
-        batch_acc += advancing * duration
-        busy_acc += duration
-        occ_acc += occupancy * duration
-        frag_acc += frag * duration
-        if sharing:
-            shared_acc += shared * duration
-        if occupancy > peak:
-            peak = occupancy
-        steps = 1
-        completes_at = None
-        t = now + duration
-        if prefill is not None:
-            # exclusive chunked prefill: the prompt's blocks were claimed
-            # at admission, so occupancy and fragmentation stay constant
-            state = prefill
-            total = payload[3]
-            cap = self.prefill_chunk_tokens
-            done = state.prefill_done + total
-            remaining = state.prefill_len - done
-            while (remaining > 0 and t < limit
-                   and t not in pending_times):
-                c = cap if cap < remaining else remaining
-                d = self.prefill_chunk_latency_s(done, c)
-                t += d
-                done += c
-                total += c
-                remaining -= c
-                steps += 1
-                time_acc += d
-                batch_acc += d
-                busy_acc += d
-                occ_acc += occupancy * d
-                frag_acc += frag * d
-                if sharing:
-                    shared_acc += shared * d
-            if steps > 1:
-                payload = ("prefill", self, state, total)
-                completes_at = t
-        else:
-            kmax = members[0].decode_len - members[0].decode_done
+        if kv is None:
+            stats.add(kind, price, 1, advancing, 0, 0)
+            return
+        # the pool's used_blocks and internal_fragmentation_fraction,
+        # read off its counters (this runs once per unfolded step)
+        used = kv.total_blocks - len(kv._free) - len(kv._reclaimable)
+        shared = (kv.shared_blocks + kv.cached_blocks
+                  if kv.prefix_sharing else 0)
+        stats.add(kind, price, 1, advancing, used, shared)
+        if pending > 0.0:
+            stats.add(SWAP_KIND, pending, 1, advancing, used, shared)
+        if kv.allocated_tokens:
+            stats.frag_time += ((1.0 - kv.cached_tokens / kv.allocated_tokens)
+                                * (price + pending))
+        if used / kv.total_blocks > stats.peak_kv_occupancy:
+            stats.peak_kv_occupancy = used / kv.total_blocks
+
+    def _fold_decode(self, t: Seconds, limit: Seconds, d: Seconds,
+                     kind: str, advancing: int,
+                     members: List[RequestState], context: Tokens,
+                     mixed: bool, pending_times: Container[float],
+                     kmax: int) -> Tuple[int, Seconds]:
+        """Record a planned pure decode step, priced ``d`` and completing
+        at ``t``, and extend it into a run of inert steps; returns the
+        run's step count and the completion time of its last step.
+
+        The run extends while no member finishes (``kmax`` steps), each
+        boundary stays before ``limit`` and off the pending completions of
+        other instances (the folded event takes its sequence number now,
+        so running past such a boundary could overtake, at a later equal
+        timestamp, a lockstep instance the per-step chain orders first),
+        and a paged pool's growth fits its free list.  Between price
+        window edges and growth events only the clock moves: the loop
+        chains ``t += d`` (the timestamps) and, on a paged pool, the one
+        per-step fragmentation add; the ledger tallies per price window.
+
+        On a paged pool member ``j`` entered step 0 at context ``ctx`` and
+        holds step 0's blocks; step ``i`` appends position ``ctx + i + 1``,
+        so its table crosses a block boundary every block size steps from
+        step ``held - ctx`` on, while below ``max_seq - ctx`` (where the
+        window clamps).  The run stops before the first step whose
+        crossings exceed the free list (it never reclaims cached prefix
+        blocks, so the shared fraction and the prefix index stay constant)
+        and, at its end, takes each crossing's block from the free list
+        step-major in batch order — the block ids per-step
+        :meth:`PagedKVManager.allocate` calls give.  This growth is
+        written against the pool's internals because it runs once per
+        folded event, where every call is measurable.
+        """
+        stats = self.stats
+        kv = self.kv
+        bucket = self.context_bucket
+        # the first step priced outside the first step's bucket window
+        next_win = (1 + -(-context // bucket) * bucket - context
+                    if bucket > 1 and context else 1)
+        next_cross = next_change = kmax   # never, without paged KV
+        rate = used = shared = cached = allocated = 0
+        frag = 0.0
+        if kv is not None:
+            size = kv.block_size_tokens
+            max_seq = kv.layout.max_seq_len
+            pool = kv._tables
+            tables = []
+            contexts = []
+            due = []        # each member's next crossing step
+            changes = []    # (step, change) of the growth rate, latest first
             for s in members:
-                r = s.decode_len - s.decode_done
-                if r < kmax:
-                    kmax = r
-            if steps < kmax and t < limit and t not in pending_times:
-                growth = kv.fold_growth(
-                    [s.request.request_id for s in members],
-                    [s.prefill_done + s.decode_done for s in members])
-                bucket = self.context_bucket
-                d = duration
-                # steps after the first that still price in its window
-                win = ((-(-context // bucket) * bucket - context)
-                       if bucket > 1 and context else 0)
-                try:
-                    # each item applies one more step's block growth
-                    for occupancy, frag in growth:
-                        if win == 0:
-                            c = context + steps
-                            if mixed:
-                                d = self.mixed_step_latency_s(c, advancing, 0)
-                            else:
-                                d = self.step_latency_s(c, advancing)
-                            win = ((-(-c // bucket) * bucket - c + 1)
-                                   if bucket > 1 else 1)
-                        t += d
-                        steps += 1
-                        win -= 1
-                        time_acc += d
-                        batch_acc += advancing * d
-                        busy_acc += d
-                        occ_acc += occupancy * d
-                        frag_acc += frag * d
-                        if sharing:
-                            shared_acc += shared * d
-                        if occupancy > peak:
-                            peak = occupancy
-                        if (steps >= kmax or t >= limit
-                                or t in pending_times):
-                            break
-                finally:
-                    growth.close()
-            if steps > 1:
-                payload = ("decode_k", self, (members, steps, now + duration),
-                           0)
-                completes_at = t
-        setattr(stats, kind_attr, time_acc)
-        stats.batch_time = batch_acc
-        stats.busy_time = busy_acc
-        stats.kv_occ_time = occ_acc
-        stats.frag_time = frag_acc
-        stats.shared_kv_time = shared_acc
-        stats.peak_kv_occupancy = peak
-        return steps, completes_at, payload
+                table = pool[s.request.request_id]
+                ctx = s.prefill_done + s.decode_done
+                tables.append(table)
+                contexts.append(ctx)
+                held = len(table.device_blocks) * size
+                due.append(held - ctx if held < max_seq else kmax)
+                stop = max_seq - ctx
+                grows_from = table.cached_tokens - ctx
+                if grows_from <= 1:
+                    if stop > 1:
+                        rate += 1
+                        if stop < kmax:
+                            changes.append((stop, -1))
+                elif grows_from < stop:
+                    changes += ((grows_from, 1), (stop, -1))
+            if changes:
+                changes.sort(reverse=True)
+                next_change = changes[-1][0]
+            next_cross = min(due)
+            free = len(kv._free)
+            used = kv.total_blocks - free - len(kv._reclaimable)
+            if kv.prefix_sharing:
+                shared = kv.shared_blocks + kv.cached_blocks
+            cached, allocated = kv.cached_tokens, kv.allocated_tokens
+            frag = stats.frag_time + (1.0 - cached / allocated) * d
+        steps = window = 1      # untallied steps priced ``d``, Σ used blocks
+        used_sum = used
+        # without paged KV the run checks one bound per step: the limit,
+        # or another instance's nearest pending completion
+        stop_at = limit
+        if kv is None:
+            for pending in pending_times:
+                if t < pending < stop_at:
+                    stop_at = pending
+        while True:
+            if steps == next_cross:
+                taken = 0
+                for j, step in enumerate(due):
+                    if step == steps:
+                        taken += 1
+                        step += size
+                        due[j] = (step if step + contexts[j] < max_seq
+                                  else kmax)
+                if taken > free:
+                    break
+                free -= taken
+                used += taken
+                allocated += taken * size
+                next_cross = min(due)
+            if steps == next_change:
+                while changes and changes[-1][0] == steps:
+                    rate += changes.pop()[1]
+                next_change = changes[-1][0] if changes else kmax
+            if steps == next_win:
+                c = context + steps
+                price = (self.mixed_step_latency_s(c, advancing, 0)
+                         if mixed else self.step_latency_s(c, advancing))
+                next_win = steps + (-(-c // bucket) * bucket - c + 1
+                                    if bucket > 1 else 1)
+                if price != d:
+                    stats.add(kind, d, window, advancing * window,
+                              used_sum, shared * window)
+                    d = price
+                    window = used_sum = 0
+            start = steps
+            end = min(next_win, next_cross, next_change, kmax) + 1
+            if kv is None:
+                for steps in range(steps + 1, end):
+                    t += d
+                    if t >= stop_at:
+                        break
+            else:
+                for steps in range(steps + 1, end):
+                    t += d
+                    cached += rate
+                    frag += (1.0 - cached / allocated) * d
+                    if t >= limit or t in pending_times:
+                        break
+            window += steps - start
+            used_sum += used * (steps - start)
+            if steps >= kmax or t >= limit or t in pending_times:
+                break
+            if t >= stop_at:
+                # stepped over a pending completion: the next one bounds
+                stop_at = min([limit] + [p for p in pending_times if p > t])
+        stats.add(kind, d, window, advancing * window, used_sum,
+                  shared * window)
+        if kv is not None:
+            applied = steps - 1
+            crossings = []   # (step, member) of every block taken
+            for j, (table, ctx) in enumerate(zip(tables, contexts)):
+                first = len(table.device_blocks) * size - ctx
+                last = min(applied, max_seq - ctx - 1)
+                if first <= last:
+                    crossings += [(step, j)
+                                  for step in range(first, last + 1, size)]
+                if ctx + applied + 1 > table.cached_tokens:
+                    cached_now = min(ctx + applied + 1, max_seq)
+                    kv.cached_tokens += cached_now - table.cached_tokens
+                    table.cached_tokens = cached_now
+            if crossings:
+                if len(tables) > 1:
+                    crossings.sort()
+                blocks = kv._free
+                for _, j in crossings:
+                    block = blocks.pop()
+                    if kv.prefix_sharing:
+                        kv._ref[block] = 1
+                    tables[j].device_blocks.append(block)
+                kv.allocated_tokens = allocated
+                if used > kv.peak_used_blocks:
+                    kv.peak_used_blocks = used
+            stats.frag_time = frag
+            if used / kv.total_blocks > stats.peak_kv_occupancy:
+                stats.peak_kv_occupancy = used / kv.total_blocks
+        return steps, t
+
+    def _fold_prefill(self, t: Seconds, limit: Seconds,
+                      state: RequestState, total: Tokens,
+                      pending_times: Container[float]
+                      ) -> Tuple[int, Seconds, Tokens]:
+        """Chain the next chunks of an exclusive chunked prefill after a
+        recorded chunk of ``total`` tokens completing at ``t``: the
+        batch-order scan re-picks this member at every inert boundary,
+        and the stalled decoders never change.  Each chunk has its own
+        price, so each is its own ledger tally.  Stops as
+        :meth:`_fold_decode` does; returns the chunk count, the last
+        chunk's completion time and the token total."""
+        cap = self.prefill_chunk_tokens
+        done = state.prefill_done + total
+        remaining = state.prefill_len - done
+        steps = 1
+        while remaining > 0 and t < limit and t not in pending_times:
+            c = cap if cap < remaining else remaining
+            d = self.prefill_chunk_latency_s(done, c)
+            self._record("prefill_time", d, 0.0, 1)
+            t += d
+            done += c
+            total += c
+            remaining -= c
+            steps += 1
+        return steps, t, total
 
     # ------------------------------------------------------------------
     # step boundary: admission, preemption, step formation
@@ -1020,13 +1153,14 @@ class InstanceRuntime:
         under a scheduler that never preempts — is fast-forwarded: up to k
         identical steps fold into one event, with k bounded so no batch
         member finishes early (and, on a paged pool, so the fold's block
-        growth fits the free list; see :meth:`_fold_paged`).  The folded
+        growth fits the free list; see :meth:`_fold_decode`).  The folded
         launch carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         ``pending_times`` holds the completion times of the other
-        instances' pending steps; a paged fold ends at the first boundary
-        that coincides with one (see :meth:`_fold_paged`).
+        instances' pending steps; a fold ends at the first boundary
+        that coincides with one.  Every step, folded or not, is tallied
+        in the ledger of :attr:`stats` (:class:`InstanceStats`).
         """
         batch = self.batch
         max_batch = self.max_batch_size
@@ -1163,19 +1297,19 @@ class InstanceRuntime:
                 kind_attr = "decode_time"
                 ff_members = members
                 ff_context = context
-        step_duration = duration
+        price = duration
         pending = self.pending_delay_s
         if pending > 0.0:
             # swap transfers contend for the same HBM/PCIe datapath, so
             # they serialize ahead of the next step
             duration += pending
             self.pending_delay_s = 0.0
-        steps = 1
+            self.stats.swap_time_s += pending
         completes_at = None
-        ff_segments = None
-        replayed = False    # a paged fold recorded its own step statistics
+        kmax = 0    # decode steps a fold may take (under 2: no fold)
+        chain = False   # the next prefill chunks may fold
         if (self.allow_multistep and pending == 0.0
-                and horizon_s is not None
+                and horizon_s is not None and not self.parked
                 and (ff_members is not None or ff_prefill is not None)):
             # Fast-forward: fold provably inert step boundaries into one
             # event.  Boundaries inside the fold must change nothing —
@@ -1183,145 +1317,49 @@ class InstanceRuntime:
             # them.  Two regimes qualify: the waiting queue is empty until
             # the next arrival (``horizon_s``), or the batch is full under
             # a scheduler that never preempts (a boundary then has nothing
-            # to do even when requests are waiting).  A decode fold may
-            # cross context-bucket boundaries and a prefill fold marches
-            # the prompt chunk by chunk: every per-step price is a
-            # memoized pure function of shape, so repricing at each window
-            # or chunk edge reproduces the per-event chain exactly.
+            # to do even when requests are waiting).  Parked swap-priority
+            # victims are retried at every boundary, so those stay real.
+            # A decode fold may cross context-bucket boundaries and a
+            # prefill fold marches the prompt chunk by chunk: every
+            # per-step price is a memoized pure function of shape, so
+            # repricing at each window or chunk edge reproduces the
+            # per-event chain exactly.
             limit = None
             if scheduler.peek() is None:
-                # the engine's idle-gap horizon (when eligible) extends
-                # the fold past arrivals that other idle instances are
-                # guaranteed to absorb; it is only ever >= horizon_s
+                # the engine's horizon function (when set) may extend the
+                # fold past arrivals other idle instances absorb, or bound
+                # it by handoffs; without one the next arrival bounds it
                 limit = (horizon_s if horizon_fn is None
                          else horizon_fn(self))
             elif (scheduler.never_preempts
                     and len(batch) >= max_batch):
                 limit = float("inf")
-            if limit is not None and self.kv is not None:
-                # parked swap-priority victims are retried at every
-                # boundary; keep those boundaries real
-                if not self.parked:
-                    steps, completes_at, payload = self._fold_paged(
-                        now, limit, duration, kind_attr, advancing,
-                        payload, ff_members, ff_context, ff_mixed,
-                        ff_prefill, pending_times)
-                    replayed = True
-            elif limit is not None and ff_prefill is not None:
-                # chunked exclusive prefill: successive chunks of the same
-                # prompt (the batch-order scan re-picks this member at
-                # every inert boundary, and stalled decoders never change).
-                # Chain each chunk's memoized price; completion bookkeeping
-                # is the ordinary "prefill" payload with the folded token
-                # total.
-                state = ff_prefill
-                total = payload[3]
-                cap = self.prefill_chunk_tokens
-                done = state.prefill_done + total
-                remaining = state.prefill_len - done
-                t = now + duration
-                if remaining > 0 and t < limit:
-                    ff_segments = [[duration, 1]]
-                    while remaining > 0 and t < limit:
-                        c = cap if cap < remaining else remaining
-                        d = self.prefill_chunk_latency_s(done, c)
-                        t += d
-                        done += c
-                        total += c
-                        remaining -= c
-                        steps += 1
-                        ff_segments.append([d, 1])
-                    payload = ("prefill", self, state, total)
-                    completes_at = t
-            elif limit is not None:
-                kmax = ff_members[0].decode_len - ff_members[0].decode_done
-                for s in ff_members:
-                    r = s.decode_len - s.decode_done
-                    if r < kmax:
-                        kmax = r
-                # chain the completion times one step at a time: each
-                # boundary before the last must fall strictly before the
-                # limit (an arrival at exactly the boundary is processed
-                # first by the engine, so that boundary is a real event).
-                # ff_segments collects (step duration, step count) runs so
-                # the stats replay below walks the identical float chain.
-                t = now + duration
-                if steps < kmax and t < limit:
-                    bucket = self.context_bucket
-                    d = duration
-                    # steps after the first that still price in its window
-                    # (bucket arithmetic inlined from _bucketed)
-                    win = ((-(-ff_context // bucket) * bucket - ff_context)
-                           if bucket > 1 and ff_context else 0)
-                    seg = [d, 1]
-                    ff_segments = [seg]
-                    while steps < kmax and t < limit:
-                        if win == 0:
-                            c = ff_context + steps
-                            if ff_mixed:
-                                nd = self.mixed_step_latency_s(
-                                    c, advancing, 0)
-                            else:
-                                nd = self.step_latency_s(c, advancing)
-                            win = ((-(-c // bucket) * bucket - c + 1)
-                                   if bucket > 1 else 1)
-                            if nd != d:
-                                d = nd
-                                seg = [d, 0]
-                                ff_segments.append(seg)
-                        t += d
-                        steps += 1
-                        seg[1] += 1
-                        win -= 1
-                if steps > 1:
-                    payload = ("decode_k", self,
-                               (ff_members, steps, now + duration), 0)
-                    completes_at = t
-        if replayed:
-            pass  # _fold_paged added every step's statistics itself
-        elif steps == 1:
-            stats = self.stats
-            if kind_attr == "decode_time":
-                stats.decode_time += step_duration
-            elif kind_attr == "prefill_time":
-                stats.prefill_time += step_duration
-            else:
-                stats.mixed_time += step_duration
-            if pending > 0.0:
-                stats.swap_time_s += pending
-            stats.batch_time += advancing * duration
-            stats.busy_time += duration
-            kvm = self.kv
-            if kvm is not None:
-                occupancy = kvm.occupancy_fraction
-                stats.kv_occ_time += occupancy * duration
-                stats.frag_time += \
-                    kvm.internal_fragmentation_fraction * duration
-                if kvm.prefix_sharing:
-                    stats.shared_kv_time += \
-                        kvm.shared_block_fraction * duration
-                if occupancy > stats.peak_kv_occupancy:
-                    stats.peak_kv_occupancy = occupancy
+            t = now + duration
+            if (limit is not None and t < limit
+                    and t not in pending_times):
+                chain = ff_prefill is not None
+                if not chain:
+                    kmax = ff_members[0].decode_len - ff_members[0].decode_done
+                    for s in ff_members:
+                        r = s.decode_len - s.decode_done
+                        if r < kmax:
+                            kmax = r
+        if kmax > 1:
+            steps, t = self._fold_decode(
+                t, limit, price, kind_attr, advancing, ff_members,
+                ff_context, ff_mixed, pending_times, kmax)
+            if steps > 1:
+                payload = ("decode_k", self,
+                           (ff_members, steps, now + duration), 0)
+                completes_at = t
         else:
-            # k folded steps without paged KV: the per-step stat adds
-            # collapse to one closed-form add per pricing segment
-            # (duration × count).  This is the one fast-forward shortcut
-            # that is not replayed add-by-add: time-weighted aggregates may
-            # differ from per-event execution in the last float bits, while
-            # every timestamp, token count and per-request record stays
-            # exact (the completion chain above still walks step by step).
-            # Fast-forward requires pending == 0, so only the three time
-            # accumulators apply.
-            td = 0.0
-            for d_seg, n_seg in ff_segments:
-                td += d_seg * n_seg
-            stats = self.stats
-            if kind_attr == "decode_time":
-                stats.decode_time += td
-            else:
-                stats.prefill_time += td
-            stats.batch_time += advancing * td
-            stats.busy_time += td
+            self._record(kind_attr, price, pending, advancing)
+            if chain:
+                steps, t, total = self._fold_prefill(
+                    t, limit, ff_prefill, payload[3], pending_times)
+                if steps > 1:
+                    payload = ("prefill", self, ff_prefill, total)
+                    completes_at = t
         self.busy = True
         return StepLaunch(duration_s=duration, payload=payload,
                           completes_at_s=completes_at)

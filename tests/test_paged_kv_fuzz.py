@@ -265,14 +265,20 @@ def _populated(seed, prefix_sharing, max_seq=MAX_SEQ):
 @pytest.mark.parametrize("seed", range(30))
 def test_fold_growth_matches_per_step_allocation(seed, prefix_sharing,
                                                  max_seq):
-    """``fold_growth`` must leave the pool exactly as per-step ``allocate``
-    calls in batch order do — same block ids per table, same free list,
-    counters and peak — and yield each step's occupancy and fragmentation
-    as the properties read them; it stops before the first step whose
-    crossings exceed the free list.  Members may start with cached
+    """A decode run folded into one event (``InstanceRuntime._fold_decode``)
+    must leave the pool exactly as per-step ``allocate`` calls in batch
+    order do — same block ids per table, same free list, counters and
+    peak — and account each step's fragmentation and used blocks as the
+    per-step path reads them off the pool; it stops before the first step
+    whose crossings exceed the free list.  Members may start with cached
     positions past their next append (a table restored at a later
     context), and the small window clamps growth mid-fold."""
     import copy
+
+    from repro.core.multi_node import LoopLynxSystem
+    from repro.serving.instance import InstanceRuntime, RequestState
+    from repro.workloads.scenarios import Scenario
+    from repro.workloads.traces import Request
 
     folded, members, rng = _populated(seed, prefix_sharing, max_seq)
     if not members:
@@ -281,7 +287,16 @@ def test_fold_growth_matches_per_step_allocation(seed, prefix_sharing,
     contexts = [max(0, folded.table(rid).cached_tokens - 1
                     - rng.randint(0, 5)) for rid in members]
     reference = copy.deepcopy(folded)
-    expected = []
+    runtime = InstanceRuntime(0, LoopLynxSystem.paper_configuration(),
+                              kv=folded)
+    context = max(contexts)
+
+    def price(step):
+        return runtime.step_latency_s(context + step, len(members))
+
+    expected_frag = reference.internal_fragmentation_fraction * price(0)
+    expected_used = reference.used_blocks
+    expected_steps = 0
     for step in range(1, max_seq + 2):
         targets = [min(ctx + step + 1, max_seq) for ctx in contexts]
         crossings = sum(reference.blocks_missing(rid, target)
@@ -290,19 +305,28 @@ def test_fold_growth_matches_per_step_allocation(seed, prefix_sharing,
             break
         for rid, target in zip(members, targets):
             assert reference.allocate(rid, target)
-        expected.append((reference.occupancy_fraction,
-                         reference.internal_fragmentation_fraction))
-    limit = rng.randint(0, len(expected) + 1)
-    growth = folded.fold_growth(members, contexts)
-    # range first: zip must not advance the generator past the limit
-    got = [fractions for _, fractions in zip(range(limit), growth)]
-    growth.close()
-    assert got == expected[:limit]
+        expected_steps = step
+    limit = rng.randint(0, expected_steps + 1)
+    states = []
+    for rid, ctx in zip(members, contexts):
+        state = RequestState(Request(request_id=rid, arrival_s=0.0,
+                                     scenario=Scenario(1, ctx + limit + 2)))
+        state.prefill_done = min(ctx, 1)
+        state.decode_done = ctx - state.prefill_done
+        states.append(state)
+    steps, _ = runtime._fold_decode(
+        1.0, float("inf"), price(0), "decode_time", len(members), states,
+        context, False, (), limit + 1)
+    applied = min(limit, expected_steps)
+    assert steps == applied + 1
     # replay the reference up to the same step count for the state check
     reference = _populated(seed, prefix_sharing, max_seq)[0]
-    for step in range(1, len(got) + 1):
+    for step in range(1, applied + 1):
         for rid, ctx in zip(members, contexts):
             assert reference.allocate(rid, min(ctx + step + 1, max_seq))
+        expected_frag += reference.internal_fragmentation_fraction \
+            * price(step)
+        expected_used += reference.used_blocks
     for rid in members:
         assert folded.table(rid) == reference.table(rid)
     assert folded._free == reference._free
@@ -311,6 +335,10 @@ def test_fold_growth_matches_per_step_allocation(seed, prefix_sharing,
             folded.peak_used_blocks) == (reference.allocated_tokens,
                                          reference.cached_tokens,
                                          reference.peak_used_blocks)
+    tallies = runtime.stats.ledger["decode_time"].values()
+    assert sum(tally[0] for tally in tallies) == steps
+    assert sum(tally[2] for tally in tallies) == expected_used
+    assert runtime.stats.frag_time == expected_frag
     check_invariants(folded)
 
 

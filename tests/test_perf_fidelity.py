@@ -6,10 +6,11 @@ here so a future optimisation cannot quietly trade correctness for speed:
 1. Fast-forward folding (``multistep=True``) changes *when* Python
    executes decode/prefill steps, never what the simulation records:
    per-request records — every timestamp, token count, preemption and
-   handoff — are bit-identical with folding on or off.  The one permitted
-   relaxation is the time-weighted step aggregates (busy/decode/prefill/
-   batch time), which folding sums per price segment in closed form —
-   equal to within float round-off, not bit-for-bit.
+   handoff — and every summary key are bit-identical with folding on or
+   off.  The time-weighted step aggregates (busy/decode/prefill/batch
+   time) come from each instance's integer step ledger, which a fold
+   fills per price window and the per-step engine per step with the same
+   integers, so they are exact too.
 2. The step-pricing caches shared across runs are pure memoization: a run
    against a warm cache is bit-identical to a cold-cache run, under paged
    KV, mixed prefill and disaggregated prefill/decode configurations
@@ -30,23 +31,10 @@ from repro.workloads.traces import (
     synthetic_azure_trace,
 )
 
-#: Step-time aggregates folding may reassemble in closed form (summed per
-#: price segment rather than step by step); everything else must be exact.
-_FOLDED_AGGREGATES = frozenset({
-    "busy_time_s", "decode_step_time_s", "prefill_step_time_s",
-    "mixed_step_time_s", "utilization", "instance_utilization",
-    "decode_time_share", "prefill_time_share", "mixed_time_share",
-    "mean_running_batch",
-})
-
-
-def _assert_summaries_match(summary_a, summary_b, exact=True):
+def _assert_summaries_match(summary_a, summary_b):
     assert summary_a.keys() == summary_b.keys()
     for key, value in summary_a.items():
-        if not exact and key in _FOLDED_AGGREGATES:
-            assert value == pytest.approx(summary_b[key], rel=1e-9), key
-        else:
-            assert value == summary_b[key], key
+        assert value == summary_b[key], key
 
 
 class TestMultistepFolding:
@@ -72,8 +60,8 @@ class TestMultistepFolding:
         assert metrics_on.generated_tokens == metrics_off.generated_tokens
         assert metrics_on.preemptions == metrics_off.preemptions
         assert metrics_on.ttfts_s == metrics_off.ttfts_s
-        _assert_summaries_match(metrics_on.summary(), metrics_off.summary(),
-                                exact=False)
+        _assert_summaries_match(metrics_on.summary(), metrics_off.summary())
+        assert metrics_on.per_class == metrics_off.per_class
 
     def test_folding_actually_engages(self):
         """The equivalence above must not pass vacuously: a quiet queue on
@@ -213,8 +201,7 @@ class TestIdleGapFolding:
         assert records_on == records_off
         assert metrics_on.makespan_s == metrics_off.makespan_s
         assert metrics_on.ttfts_s == metrics_off.ttfts_s
-        _assert_summaries_match(metrics_on.summary(), metrics_off.summary(),
-                                exact=False)
+        _assert_summaries_match(metrics_on.summary(), metrics_off.summary())
 
     def test_extension_actually_removes_events(self, monkeypatch):
         """Folding across idle-cluster gaps must post measurably fewer

@@ -12,6 +12,8 @@ run with no cache at all.
 import json
 import math
 
+import pytest
+
 from repro.core.config import SystemConfig
 from repro.core.pricing_cache import (
     VERSION,
@@ -59,8 +61,8 @@ class TestRoundTrip:
 
 
 class TestHostileFiles:
-    """Every malformed shape degrades to ``None`` (cold start), never an
-    exception and never a half-trusted table."""
+    """Every malformed shape degrades to ``None`` (cold start) with a
+    warning, never an exception and never a half-trusted table."""
 
     def _store_with_file(self, tmp_path, mutate):
         store = PricingCacheStore(tmp_path)
@@ -75,29 +77,34 @@ class TestHostileFiles:
     def test_stale_version_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path, lambda doc: doc.update(version=VERSION + 1))
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path, lambda doc: doc.update(fingerprint="0" * 64))
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_wrong_key_arity_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path,
             lambda doc: doc["tables"]["step"].append([1, 2, 3, 0.5]))
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_missing_table_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path, lambda doc: doc["tables"].pop("transfer"))
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_non_numeric_value_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path,
             lambda doc: doc["tables"]["step"].append([8, 8, "NaN-ish"]))
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_torn_json_rejected(self, tmp_path):
         store = PricingCacheStore(tmp_path)
@@ -105,16 +112,88 @@ class TestHostileFiles:
         store.save(fp, _TABLES)
         path = store.path_for(fp)
         path.write_text(path.read_text()[:40])  # simulate a torn write
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
 
     def test_rebuild_after_corruption(self, tmp_path):
         store = PricingCacheStore(tmp_path)
         fp = _fp()
         store.save(fp, _TABLES)
         store.path_for(fp).write_text("{nope")
-        assert store.load(fp) is None
+        with pytest.warns(RuntimeWarning):
+            assert store.load(fp) is None
         store.save(fp, _TABLES)  # the rebuild path: save over the wreck
         assert store.load(fp) == _TABLES
+
+
+class TestRejectionsAreLoud:
+    """A file the store refuses is a cold start, but never a silent one:
+    each rejection has a reason, a warning names the file and the reason,
+    and the engine counts it.  A missing file stays a quiet cold start."""
+
+    @staticmethod
+    def _write(tmp_path, mutate):
+        store = PricingCacheStore(tmp_path)
+        fp = _fp()
+        store.save(fp, _TABLES)
+        path = store.path_for(fp)
+        path.write_text(mutate(path.read_text()))
+        return store, fp, path
+
+    @pytest.mark.parametrize("reason, mutate", [
+        ("stale version",
+         lambda text: text.replace(f'"version":{VERSION}',
+                                   f'"version":{VERSION + 1}')),
+        ("foreign fingerprint",
+         lambda text: text.replace(_fp(), "0" * 64)),
+        ("malformed JSON", lambda text: "{" + text),
+        ("torn file", lambda text: text[:40]),
+        ("malformed table entries",
+         lambda text: text.replace('"transfer":', '"transfers":')),
+    ])
+    def test_each_reason_warns_with_path_and_reason(self, tmp_path, reason,
+                                                    mutate):
+        store, fp, path = self._write(tmp_path, mutate)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert store.load(fp) is None
+        assert store.last_rejection.startswith(reason)
+        message = str(caught[0].message)
+        assert str(path) in message and reason in message
+
+    def test_missing_file_is_quiet(self, tmp_path, recwarn):
+        store = PricingCacheStore(tmp_path)
+        assert store.load(_fp()) is None
+        assert store.last_rejection is None
+        assert not recwarn.list
+
+    def test_good_load_clears_the_last_rejection(self, tmp_path):
+        store, fp, _ = self._write(tmp_path, lambda text: text[:40])
+        with pytest.warns(RuntimeWarning):
+            store.load(fp)
+        store.save(fp, _TABLES)
+        assert store.load(fp) == _TABLES
+        assert store.last_rejection is None
+
+    def test_engine_counts_rejections(self, tmp_path):
+        trace = RequestTrace(requests=list(bursty_trace(
+            40, seed=3, mean_prefill=40, mean_decode=64)))
+
+        def run():
+            engine = TokenServingEngine(cluster="2x2n", max_batch_size=4,
+                                        pricing_cache=tmp_path)
+            engine.run(trace)
+            return engine.pricing_cache_stats
+
+        assert run()["rejected"] == 0      # cold: no file yet, no warning
+        (path,) = tmp_path.glob("pricing-v*.json")
+        path.write_text(path.read_text().replace(
+            f'"version":{VERSION}', f'"version":{VERSION - 1}'))
+        with pytest.warns(RuntimeWarning, match="stale version"):
+            stats = run()
+        assert stats["rejected"] == 1 and stats["loaded"] == 0
+        # the rejected run rebuilt the file: the next run starts warm
+        warm = run()
+        assert warm["rejected"] == 0 and warm["loaded"] > 0
 
 
 class TestFingerprint:
@@ -144,7 +223,7 @@ class TestEngineWarmStart:
     def test_warm_run_is_bit_identical_and_loads(self, tmp_path):
         trace = RequestTrace(requests=list(bursty_trace(300, **self.TRACE_KW)))
         bare_makespan, bare_records, bare_stats = self._run(trace, None)
-        assert bare_stats == {"loaded": 0, "saved": 0}
+        assert bare_stats == {"loaded": 0, "saved": 0, "rejected": 0}
 
         cold_makespan, cold_records, cold_stats = self._run(trace, tmp_path)
         assert cold_stats["loaded"] == 0 and cold_stats["saved"] >= 1
@@ -164,8 +243,10 @@ class TestEngineWarmStart:
         assert files
         for path in files:
             path.write_text("{torn")
-        makespan, _, stats = self._run(trace, tmp_path)
+        with pytest.warns(RuntimeWarning, match="rejected: malformed JSON"):
+            makespan, _, stats = self._run(trace, tmp_path)
         assert stats["loaded"] == 0 and stats["saved"] >= 1
+        assert stats["rejected"] == len(files)
         assert makespan == bare_makespan
         # the rebuild produced valid files again
         _, _, warm_stats = self._run(trace, tmp_path)
